@@ -1,5 +1,6 @@
 """Parabolic coset indices over Z/p^m: the closed form (a quotient of
-group orders) against a literal double-coset enumeration of matrices.
+group orders) against a count of cosets, each keyed by the flag of row
+spans of its trailing blocks.
 
 The index [GL_n(Z/p^m) : P(Z/p^m)] is the factor by which inducing from a
 standard parabolic P multiplies a fixed-space dimension, so getting it
@@ -35,7 +36,7 @@ def main() -> None:
             print(f"{p}  {m}  {enumerated:>10}  {closed:>6}  {coefficient:>12}")
     print()
 
-    print("Bigger parabolics of GL_3 at p=2, m=1 (orbit sweep):\n")
+    print("Bigger parabolics of GL_3 at p=2, m=1 (keyed by flag):\n")
     print("partition  |P|  enumerated  closed")
     for partition in ((2, 1), (1, 2), (1, 1, 1)):
         size = parabolic_order(partition, 2, 1)
@@ -45,9 +46,9 @@ def main() -> None:
     print()
 
     print("Enumeration is budgeted. An instance that would need too many")
-    print("candidate matrices raises instead of running forever:")
+    print("candidate rows raises instead of running forever:")
     try:
-        parabolic_index_enumerated((2, 1), 5, 1, budget=1000)
+        parabolic_index_enumerated((1, 1, 1), 5, 1, budget=100)
     except BudgetExceededError as exc:
         print(f"  {exc}")
 

@@ -28,18 +28,29 @@ class BudgetExceededError(RuntimeError):
 
 
 def parse_budget(text: str) -> int:
-    """Parse a budget written as '100000000', '10^8' or '1e8'."""
+    """Parse a budget written as '100000000', '10^8' or '1e8'.
+
+    A budget is an integer >= 1; anything else raises ValueError, because a
+    zero, negative or fractional budget would skip every oracle it gates and
+    let the check pass on no instances.
+    """
     text = text.strip()
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        return int(base) ** int(exp)
+    value: int | float | None
     try:
-        return int(text)
+        if "^" in text:
+            base, _, exp = text.partition("^")
+            value = int(base) ** int(exp)
+        elif text.lstrip("+-").isdigit():
+            value = int(text)
+        else:
+            value = float(text)
     except ValueError:
-        value = float(text)
-        if not value.is_integer():
-            raise ValueError(f"budget must be an integer, got {text!r}")
-        return int(value)
+        value = None
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {text!r}")
+    return value
 
 
 def candidate_budget(budget: int | None = None) -> int:

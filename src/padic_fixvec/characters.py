@@ -62,13 +62,6 @@ class QuasiCharacterClass:
             )
 
 
-@dataclass(frozen=True)
-class AdditiveCharacterParams:
-    """Conductor data of a nontrivial additive character of the field."""
-
-    c_psi: int = 0
-
-
 def _primitive_root(p: int, r: int) -> int:
     """A generator of the cyclic group (Z/p^r)^x, p odd."""
     phi_p = p - 1

@@ -2,22 +2,18 @@
 
 Reduction mod p^m turns the count into the index of the block-upper-
 triangular subgroup P inside GL_n(Z/p^m), which we compute two ways:
-in closed form from the order formulas, and by exhaustive coset
-enumeration over the finite ring (the oracle, restricted to residue
-degree 1).
+in closed form from the order formulas, and by counting cosets over the
+finite ring (the oracle, restricted to residue degree 1). The oracle keys
+each coset by the flag of row spans of its trailing blocks, in the
+canonical echelon form of spans in (Z/p^m)^n (Howell, "Spans in the
+module (Z_m)^s", 1986); it uses no order formula.
 """
 
-from typing import Iterator, Sequence
+from itertools import product
+from typing import Sequence
 
 from .budget import BudgetExceededError, candidate_budget
-from .finite_ring import (
-    Rows,
-    _enumerate_gl_rows,
-    _enumerate_parabolic_rows,
-    gl_order,
-    mat_mul,
-    parabolic_order,
-)
+from .finite_ring import Rows, _block_starts, gl_order, is_prime, parabolic_order
 
 
 def index_m0(partition: Sequence[int]) -> int:
@@ -46,81 +42,71 @@ def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
     return total // sub
 
 
-def _projective_line_keys(p: int, m: int, budget: int) -> Iterator[tuple[int, int]]:
-    """Coset keys for the Borel in GL_2: the bottom row up to unit scaling.
+def _unit_echelon(rows: Rows, p: int, pm: int) -> Rows | None:
+    """The reduced row echelon form, with unit pivots, of the span of rows
+    over Z/p^m; None when the rows are dependent mod p.
 
-    Left multiplication by an upper-triangular matrix scales the bottom row
-    by a unit, so the coset of g is determined by its bottom row as a point
-    of the projective line over Z/p^m. Canonical form: (c*d^-1, 1) when d is
-    a unit, else (1, c^-1*d).
+    Rows independent mod p span a free direct summand, and this form is
+    canonical for it: the pivot columns are those of the span mod p, and
+    the pivot block is the identity.
     """
-    required = p ** (m * 4)
-    if required > budget:
-        raise BudgetExceededError(
-            required, budget, f"enumerating GL_2(Z/{p}^{m}) bottom rows"
+    echelon = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(echelon[0]) if echelon else 0):
+        pivot = next(
+            (i for i in range(rank, len(echelon)) if echelon[i][col] % p), None
         )
-    pm = p**m
-    for rows in _enumerate_gl_rows(2, p, m, budget):
-        c, d = rows[1]
-        if d % p != 0:
-            yield (c * pow(d, -1, pm) % pm, 1)
-        else:
-            yield (1, d * pow(c, -1, pm) % pm)
+        if pivot is None:
+            continue
+        echelon[rank], echelon[pivot] = echelon[pivot], echelon[rank]
+        unit = pow(echelon[rank][col], -1, pm)
+        lead = echelon[rank] = [x * unit % pm for x in echelon[rank]]
+        for i, row in enumerate(echelon):
+            c = row[col]
+            if i != rank and c:
+                echelon[i] = [(x - c * y) % pm for x, y in zip(row, lead)]
+        rank += 1
+    if rank < len(echelon):
+        return None
+    return tuple(tuple(row) for row in echelon)
 
 
 def parabolic_index_enumerated(
-    partition: Sequence[int],
-    p: int,
-    m: int,
-    budget: int | None = None,
-    method: str = "auto",
+    partition: Sequence[int], p: int, m: int, budget: int | None = None
 ) -> int:
-    """Count the distinct left cosets P*g over g in GL_n(Z/p^m).
+    """Count the distinct left cosets P*g in GL_n(Z/p^m) by their flags.
 
-    Every enumerated g is assigned a canonical coset key, the
-    lexicographically least matrix of its coset; the result is the number of
-    distinct keys. Two methods:
-
-    * "orbit": sweep GL in lexicographic order and expand the full coset
-      P*g of each not-yet-seen g (the first-seen member of a coset in a
-      lexicographic sweep is exactly its least element). Gated by
-      |P| * |GL| <= budget, on top of the candidate budget.
-    * "projective": Borel in GL_2 only; keys cosets by the bottom row up to
-      unit scaling, which reaches instances such as p=5, m=2 that the
-      generic gate rejects. Gated by the candidate budget alone.
+    Left multiplication by P mixes each block's rows only with the rows of
+    the blocks below it, so P*g is fixed by the flag of spans of g's
+    trailing blocks: the last block's rows, the last two blocks' rows, and
+    so on. Rows independent mod p are exactly the trailing rows of some
+    invertible g. So every choice of the n - n_1 rows below the first block
+    is enumerated, the choices dependent mod p are dropped, and the rest
+    are counted by their flags in unit echelon form. Gated by the
+    p**(m*n*(n - n_1)) candidates against the candidate budget.
     """
     if m < 1:
         raise ValueError(f"level m must be >= 1, got {m}")
     partition = tuple(partition)
+    if not partition or min(partition) < 1:
+        raise ValueError(f"partition parts must be >= 1, got {partition}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     n = sum(partition)
+    tail = n - partition[0]
     limit = candidate_budget(budget)
-
-    if method == "auto":
-        method = "projective" if partition == (1, 1) else "orbit"
-    if method == "projective":
-        if partition != (1, 1):
-            raise ValueError("projective method applies only to the Borel in GL_2")
-        return len(set(_projective_line_keys(p, m, limit)))
-    if method != "orbit":
-        raise ValueError(f"unknown method {method!r}")
-
-    pair_cost = parabolic_order(partition, p, m) * gl_order(n, p, m)
-    if pair_cost > limit:
+    required = p ** (m * n * tail)
+    if required > limit:
         raise BudgetExceededError(
-            pair_cost,
+            required,
             limit,
             f"coset enumeration for partition {partition} over Z/{p}^{m}",
         )
     pm = p**m
-    parabolic_elements: list[Rows] = list(
-        _enumerate_parabolic_rows(partition, p, m, limit)
-    )
-    seen: set[Rows] = set()
-    count = 0
-    for g in _enumerate_gl_rows(n, p, m, limit):
-        if g in seen:
-            continue
-        count += 1
-        for u in parabolic_elements:
-            seen.add(mat_mul(u, g, pm))
-    return count
+    suffixes = [start - partition[0] for start in _block_starts(partition)[2:]]
+    flags: set[tuple] = set()
+    for rows in product(product(range(pm), repeat=n), repeat=tail):
+        span = _unit_echelon(rows, p, pm)
+        if span is not None:
+            flags.add((span, *(_unit_echelon(rows[s:], p, pm) for s in suffixes)))
+    return len(flags)

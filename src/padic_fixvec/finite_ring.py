@@ -30,27 +30,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_power_base(q: int) -> tuple[int, int] | None:
-    """Return (p, f) with q = p**f, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    f = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        f += 1
-    if rest != 1 or not is_prime(p):
-        return None
-    return p, f
-
-
 @dataclass(frozen=True)
 class LocalFieldParams:
     """Residue data of a p-adic field: residue characteristic p, residue

@@ -2,8 +2,9 @@
 
 Four suites, each pure and deterministic:
 
-- cosets: group orders and parabolic coset indices against literal
-  enumeration over Z/p^m, the Borel index coefficient, and divisibility
+- cosets: group orders against literal enumeration over Z/p^m, parabolic
+  coset indices against the oracle that counts cosets by the flags of
+  their trailing row spans, the Borel index coefficient, and divisibility
   under partition refinement.
 - characters: unit-dual conductor histograms against the discrete-log
   oracle and the class-count closed forms.
@@ -76,7 +77,7 @@ def run_cosets(budget: int | None = None) -> SuiteReport:
     gl_cases += [(3, 2, 1), (3, 3, 1)]
     for n, p, m in gl_cases:
         try:
-            count = sum(1 for _ in finite_ring.enumerate_gl(n, p, m, budget=budget))
+            count = sum(1 for _ in finite_ring._enumerate_gl_rows(n, p, m, budget))
         except BudgetExceededError as exc:
             report.note(f"gl count n={n} p={p} m={m} skipped: {exc}")
             continue

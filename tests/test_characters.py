@@ -2,7 +2,6 @@ import pytest
 
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.characters import (
-    AdditiveCharacterParams,
     QuasiCharacterClass,
     conductor_histogram,
     enumerate_unit_dual,
@@ -86,8 +85,3 @@ def test_quasi_character_class_validation():
         QuasiCharacterClass(-1, 0)
     with pytest.raises(ValueError):
         QuasiCharacterClass(1, -1)
-
-
-def test_additive_character_params():
-    assert AdditiveCharacterParams().c_psi == 0
-    assert AdditiveCharacterParams(-2).c_psi == -2

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from padic_fixvec.budget import ENV_BUDGET
 from padic_fixvec.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -214,7 +215,16 @@ def test_verify_json_under_budget(capsys):
 
 
 def test_verify_rejects_bad_budget(capsys):
-    run_err(capsys, ["verify", "--suite", "characters", "--budget", "lots"])
+    # A zero, negative or fractional budget would skip every oracle.
+    for budget in ("lots", "0", "-5", "10^-1"):
+        err = run_err(capsys, ["verify", "--suite", "characters", "--budget", budget])
+        assert "budget" in err
+
+
+def test_verify_rejects_bad_budget_from_env(monkeypatch, capsys):
+    monkeypatch.setenv(ENV_BUDGET, "0")
+    err = run_err(capsys, ["verify", "--suite", "cosets"])
+    assert "budget" in err
 
 
 def test_spec_from_file(tmp_path, capsys):

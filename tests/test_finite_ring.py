@@ -12,7 +12,6 @@ from padic_fixvec.finite_ring import (
     is_invertible,
     is_prime,
     parabolic_order,
-    prime_power_base,
 )
 
 
@@ -22,14 +21,6 @@ from padic_fixvec.finite_ring import (
 ])
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
-
-
-@pytest.mark.parametrize("q,expected", [
-    (9, (3, 2)), (8, (2, 3)), (7, (7, 1)), (6, None), (1, None), (49, (7, 2)),
-    (12, None), (2, (2, 1)),
-])
-def test_prime_power_base(q, expected):
-    assert prime_power_base(q) == expected
 
 
 def test_local_field_params():

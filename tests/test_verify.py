@@ -1,3 +1,4 @@
+from padic_fixvec.budget import ENV_BUDGET
 from padic_fixvec.verify import (
     MAX_FAILURE_DETAILS,
     SUITES,
@@ -28,6 +29,16 @@ def test_cosets_suite_passes_under_tiny_budget_with_notes():
     assert report.passed
     assert report.notes
     assert all("budget" in note for note in report.notes)
+
+
+def test_cosets_suite_runs_every_index_instance_at_default_budget(monkeypatch):
+    monkeypatch.delenv(ENV_BUDGET, raising=False)
+    report = run_cosets()
+    assert report.passed
+    assert report.notes == []
+    (index,) = [c for c in report.checks
+                if c.name == "parabolic_index_closed equals parabolic_index_enumerated"]
+    assert index.detail == "18 instances"
 
 
 def test_run_all_mirrors_registry_order():
