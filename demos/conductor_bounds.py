@@ -5,14 +5,12 @@ minimal principal congruence level imposes.
 
 from padic_fixvec import (
     GenericRepresentation,
-    conductor,
     conductor_bounds,
     conductor_window,
     depth_esi,
     factorize,
     has_fixed_vector,
     local_conductor_window,
-    min_level,
 )
 
 
@@ -32,7 +30,7 @@ def main() -> None:
         rep = GenericRepresentation.from_pairs(pairs)
         depths = ", ".join(str(depth_esi(n, c)) for n, c in pairs)
         print(
-            f"{str(pairs):<24} {conductor(rep):>9}  {min_level(rep):>9}"
+            f"{str(pairs):<24} {rep.conductor():>9}  {rep.min_level():>9}"
             f"  {depths}"
         )
     print()

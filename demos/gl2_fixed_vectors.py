@@ -8,7 +8,6 @@ from padic_fixvec import (
     PrincipalSeries,
     SteinbergTwist,
     Supercuspidal,
-    dim_gl2,
     dim_supercuspidal_lattice,
     dim_supercuspidal_minimal,
     kirillov_basis,
@@ -20,7 +19,7 @@ def dimension_table(q: int, reps, max_m: int) -> None:
     header = "rep".ljust(34) + "".join(f"m={m}".rjust(7) for m in range(max_m + 1))
     print(header)
     for label, rep in reps:
-        dims = [dim_gl2(rep, q, m) for m in range(max_m + 1)]
+        dims = [rep.dim(q, m) for m in range(max_m + 1)]
         print(label.ljust(34) + "".join(str(d).rjust(7) for d in dims))
     print()
 

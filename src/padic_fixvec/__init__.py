@@ -38,8 +38,6 @@ from .gl2_dims import (
     SteinbergTwist,
     Supercuspidal,
     delta_leq,
-    dim_gl2,
-    dim_induced_general,
     dim_principal_series,
     dim_steinberg_twist,
     dim_supercuspidal,
@@ -63,14 +61,13 @@ from .representations import (
     GenericRepresentation,
     ImplausibleConductorWarning,
     SquareIntegrableBlock,
-    conductor,
     conductor_window,
     depth_esi,
     depth_supercuspidal_gl2,
+    dim_induced_general,
     has_fixed_vector,
     has_fixed_vector_depth,
     has_fixed_vector_esi,
-    min_level,
 )
 from .verify import SUITES, Check, SuiteReport, run_all
 
@@ -98,14 +95,12 @@ __all__ = [
     "SteinbergTwist",
     "SuiteReport",
     "Supercuspidal",
-    "conductor",
     "conductor_bounds",
     "conductor_histogram",
     "conductor_window",
     "delta_leq",
     "depth_esi",
     "depth_supercuspidal_gl2",
-    "dim_gl2",
     "dim_induced_general",
     "dim_principal_series",
     "dim_steinberg_twist",
@@ -125,7 +120,6 @@ __all__ = [
     "kirillov_basis_count",
     "kirillov_support_interval",
     "local_conductor_window",
-    "min_level",
     "num_classes_exact",
     "num_classes_upto",
     "parabolic_index_closed",

@@ -14,6 +14,10 @@ ENV_BUDGET = "PADIC_FIXVEC_BUDGET"
 DEFAULT_CANDIDATE_BUDGET = 10**8
 DEFAULT_UNIT_DUAL_BUDGET = 10**6
 
+# The largest budget parse_budget accepts. No enumeration of that size could
+# finish, and the cap lets it reject 'b^e' before computing a huge power.
+MAX_BUDGET = 10**18
+
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its candidate budget."""
@@ -30,16 +34,19 @@ class BudgetExceededError(RuntimeError):
 def parse_budget(text: str) -> int:
     """Parse a budget written as '100000000', '10^8' or '1e8'.
 
-    A budget is an integer >= 1; anything else raises ValueError, because a
-    zero, negative or fractional budget would skip every oracle it gates and
-    let the check pass on no instances.
+    A budget is an integer from 1 to MAX_BUDGET; anything else raises
+    ValueError, because a zero, negative or fractional budget would skip
+    every oracle it gates and let the check pass on no instances.
     """
     text = text.strip()
     value: int | float | None
     try:
         if "^" in text:
-            base, _, exp = text.partition("^")
-            value = int(base) ** int(exp)
+            base, exp = (int(part) for part in text.split("^", 1))
+            # |base| >= 2 to a power above the cap's bit length exceeds the
+            # cap; reject it without computing a number that large.
+            too_big = abs(base) >= 2 and exp > MAX_BUDGET.bit_length()
+            value = None if too_big else base**exp
         elif text.lstrip("+-").isdigit():
             value = int(text)
         else:
@@ -48,15 +55,24 @@ def parse_budget(text: str) -> int:
         value = None
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"budget must be an integer >= 1, got {text!r}")
+    if not isinstance(value, int) or not 1 <= value <= MAX_BUDGET:
+        raise ValueError(
+            f"budget must be an integer from 1 to 10^18, got {text!r}"
+        )
     return value
+
+
+def _explicit(budget: int) -> int:
+    """An explicit budget argument, which must be an int >= 1."""
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+    return budget
 
 
 def candidate_budget(budget: int | None = None) -> int:
     """Resolve the matrix-candidate budget: explicit arg, else env var, else default."""
     if budget is not None:
-        return budget
+        return _explicit(budget)
     env = os.environ.get(ENV_BUDGET)
     if env:
         return parse_budget(env)
@@ -66,5 +82,5 @@ def candidate_budget(budget: int | None = None) -> int:
 def unit_dual_budget(budget: int | None = None) -> int:
     """Resolve the unit-group dual budget (cap on p**r). Default 10**6."""
     if budget is not None:
-        return budget
+        return _explicit(budget)
     return DEFAULT_UNIT_DUAL_BUDGET

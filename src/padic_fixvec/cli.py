@@ -5,6 +5,12 @@ string), dispatch to the closed-form computations, and print either a
 human-readable key/value listing or, with --json, a canonical JSON object
 (UTF-8, keys sorted, byte-identical across identical invocations).
 
+The five spec queries (dim, has-fixed, min-level, conductor, depth) are one
+command driven by the QUERIES table: each entry asks the representation's
+own methods and returns ordered (key, value) rows, from which both outputs
+are built. GL2_SPECS maps each GL_2 spec type to its class and fields, for
+parse_spec and spec_to_dict alike.
+
 Exit codes: 0 success, 1 input error, 2 verification failure.
 
 Spec schema::
@@ -24,8 +30,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import astuple, dataclass
+from typing import Callable, NamedTuple, Union
 
 from . import verify
 from .budget import parse_budget
@@ -36,20 +42,11 @@ from .gl2_dims import (
     PrincipalSeries,
     SteinbergTwist,
     Supercuspidal,
-    dim_gl2,
-    dim_induced_general,
     kirillov_basis_count,
     kirillov_support_interval,
 )
 from .global_bounds import conductor_bounds, factorize, local_conductor_window
-from .representations import (
-    GenericRepresentation,
-    conductor,
-    depth_esi,
-    depth_supercuspidal_gl2,
-    has_fixed_vector,
-    min_level,
-)
+from .representations import GenericRepresentation
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,6 +61,17 @@ class SpecError(ValueError):
 class ParsedSpec:
     field: LocalFieldParams
     rep: Union[GenericRepresentation, GL2Representation]
+
+
+# Spec type -> (class, (JSON key, minimum, default) for each dataclass field
+# in declaration order). A default of None makes the key required.
+GL2_SPECS = {
+    "principal-series": (PrincipalSeries, (("c1", 0, None), ("c2", 0, None))),
+    "steinberg-twist": (SteinbergTwist, (("c_chi", 0, None),)),
+    "supercuspidal": (Supercuspidal, (
+        ("minimal_conductor", 2, None), ("twist_conductor", 0, 0),
+    )),
+}
 
 
 def _as_object(value, path: str) -> dict:
@@ -126,28 +134,16 @@ def parse_spec(data) -> ParsedSpec:
                 _get_int(block_obj, "conductor", f"rep.blocks[{i}]", minimum=0),
             ))
         return ParsedSpec(field, GenericRepresentation.from_pairs(pairs))
-    if rep_type == "principal-series":
-        _reject_extra_keys(rep_obj, {"type", "c1", "c2"}, "rep")
-        return ParsedSpec(field, PrincipalSeries(
-            _get_int(rep_obj, "c1", "rep", minimum=0),
-            _get_int(rep_obj, "c2", "rep", minimum=0),
-        ))
-    if rep_type == "steinberg-twist":
-        _reject_extra_keys(rep_obj, {"type", "c_chi"}, "rep")
-        return ParsedSpec(field, SteinbergTwist(
-            _get_int(rep_obj, "c_chi", "rep", minimum=0)
-        ))
-    if rep_type == "supercuspidal":
-        _reject_extra_keys(
-            rep_obj, {"type", "minimal_conductor", "twist_conductor"}, "rep"
-        )
-        return ParsedSpec(field, Supercuspidal(
-            _get_int(rep_obj, "minimal_conductor", "rep", minimum=2),
-            _get_int(rep_obj, "twist_conductor", "rep", minimum=0, default=0),
-        ))
+    if rep_type in GL2_SPECS:
+        cls, fields = GL2_SPECS[rep_type]
+        _reject_extra_keys(rep_obj, {"type", *(key for key, _, _ in fields)}, "rep")
+        return ParsedSpec(field, cls(*(
+            _get_int(rep_obj, key, "rep", minimum, default)
+            for key, minimum, default in fields
+        )))
     raise SpecError(
-        "rep.type: expected one of induced, principal-series, steinberg-twist,"
-        f" supercuspidal; got {json.dumps(rep_type)}"
+        f"rep.type: expected one of {', '.join(['induced', *GL2_SPECS])};"
+        f" got {json.dumps(rep_type)}"
     )
 
 
@@ -180,16 +176,14 @@ def spec_to_dict(parsed: ParsedSpec) -> dict:
                 {"n": b.n, "conductor": b.conductor} for b in rep.blocks
             ],
         }
-    elif isinstance(rep, PrincipalSeries):
-        rep_obj = {"type": "principal-series", "c1": rep.c1, "c2": rep.c2}
-    elif isinstance(rep, SteinbergTwist):
-        rep_obj = {"type": "steinberg-twist", "c_chi": rep.c_chi}
     else:
-        rep_obj = {
-            "type": "supercuspidal",
-            "minimal_conductor": rep.s,
-            "twist_conductor": rep.c_chi,
-        }
+        rep_type, fields = next(
+            (name, fields) for name, (cls, fields) in GL2_SPECS.items()
+            if isinstance(rep, cls)
+        )
+        rep_obj = {"type": rep_type, **{
+            key: value for (key, _, _), value in zip(fields, astuple(rep))
+        }}
     return {"field": {"p": parsed.field.p, "f": parsed.field.f}, "rep": rep_obj}
 
 
@@ -218,129 +212,45 @@ def _maybe_emit_spec(args, parsed: ParsedSpec) -> bool:
     return False
 
 
-def _bool_str(value: bool) -> str:
-    return "true" if value else "false"
+def _has_fixed_rows(rep, q: int, m: int) -> list[tuple[str, object]]:
+    if m < 0:
+        raise SpecError(f"level must be >= 0, got {m}")
+    return [("has_fixed_vector", m >= rep.min_level()), ("level", m), ("q", q)]
 
 
-def _induced_dim(rep: GenericRepresentation, q: int, m: int) -> int:
-    for i, block in enumerate(rep.blocks):
-        if block.n >= 2:
-            raise SpecError(
-                f"rep.blocks[{i}]: dimension of an induced representation "
-                f"needs the inner fixed-space dimension of each block, which "
-                f"a size-{block.n} block's conductor alone does not determine;"
-                " use principal-series, steinberg-twist or supercuspidal for"
-                " the GL_2 fine types"
-            )
-    block_dims = [1 if b.conductor <= m else 0 for b in rep.blocks]
-    return dim_induced_general(rep.partition, q, m, block_dims)
+class Query(NamedTuple):
+    help: str
+    with_level: bool
+    rows: Callable  # (rep, q, level or None) -> [(key, value), ...]
 
 
-def cmd_dim(args) -> int:
+QUERIES = {
+    "dim": Query("fixed-space dimension at a level", True, lambda rep, q, m: [
+        ("dimension", rep.dim(q, m)), ("level", m), ("q", q),
+        ("branch", rep.dim_branch)]),
+    "has-fixed": Query("whether a nonzero fixed vector exists at a level",
+                       True, _has_fixed_rows),
+    "min-level": Query("least level with a nonzero fixed vector", False,
+                       lambda rep, q, m: [("min_level", rep.min_level()), ("q", q)]),
+    "conductor": Query("conductor of the represented data", False,
+                       lambda rep, q, m: [("conductor", rep.conductor()),
+                                          ("convention", rep.conductor_convention)]),
+    "depth": Query("depth, printed as an exact fraction", False,
+                   lambda rep, q, m: [("depth", str(rep.depth()))]),
+}
+
+
+def cmd_query(args) -> int:
     parsed = load_spec(args.spec)
     if _maybe_emit_spec(args, parsed):
         return EXIT_OK
-    q, m = parsed.field.q, args.level
-    rep = parsed.rep
-    if isinstance(rep, GenericRepresentation):
-        dim = _induced_dim(rep, q, m)
-        branch = "induced from characters: coset index times indicators"
-    else:
-        dim = dim_gl2(rep, q, m)
-        branch = {
-            PrincipalSeries: "principal series closed form",
-            SteinbergTwist: "Steinberg twist closed form",
-            Supercuspidal: "supercuspidal closed form",
-        }[type(rep)]
-    payload = {"branch": branch, "dimension": dim, "level": m, "q": q}
-    rows = [("dimension", dim), ("level", m), ("q", q), ("branch", branch)]
-    return _emit(args, payload, rows)
-
-
-def cmd_has_fixed(args) -> int:
-    parsed = load_spec(args.spec)
-    if _maybe_emit_spec(args, parsed):
-        return EXIT_OK
-    q, m = parsed.field.q, args.level
-    rep = parsed.rep
-    if isinstance(rep, GenericRepresentation):
-        answer = has_fixed_vector(rep, m)
-    else:
-        answer = dim_gl2(rep, q, m) > 0
-    payload = {"has_fixed_vector": answer, "level": m, "q": q}
-    rows = [("has_fixed_vector", _bool_str(answer)), ("level", m), ("q", q)]
-    return _emit(args, payload, rows)
-
-
-def _gl2_min_level(rep: GL2Representation) -> int:
-    if isinstance(rep, PrincipalSeries):
-        return max(rep.c1, rep.c2)
-    if isinstance(rep, SteinbergTwist):
-        return max(rep.c_chi, 1)
-    return -(-rep.effective_conductor // 2)
-
-
-def cmd_min_level(args) -> int:
-    parsed = load_spec(args.spec)
-    if _maybe_emit_spec(args, parsed):
-        return EXIT_OK
-    rep = parsed.rep
-    if isinstance(rep, GenericRepresentation):
-        level = min_level(rep)
-    else:
-        level = _gl2_min_level(rep)
-    payload = {"min_level": level, "q": parsed.field.q}
-    rows = [("min_level", level), ("q", parsed.field.q)]
-    return _emit(args, payload, rows)
-
-
-def cmd_conductor(args) -> int:
-    parsed = load_spec(args.spec)
-    if _maybe_emit_spec(args, parsed):
-        return EXIT_OK
-    rep = parsed.rep
-    if isinstance(rep, GenericRepresentation):
-        value = conductor(rep)
-        convention = "sum of block conductors"
-    elif isinstance(rep, PrincipalSeries):
-        value = rep.c1 + rep.c2
-        convention = "sum of the two character conductors"
-    elif isinstance(rep, Supercuspidal):
-        value = rep.effective_conductor
-        convention = "max(minimal_conductor, 2 * twist_conductor)"
-    else:
-        raise SpecError(
-            "rep: the conductor of a Steinberg twist is not determined by"
-            " the twist conductor carried here; not supported"
-        )
-    payload = {"conductor": value, "convention": convention}
-    rows = [("conductor", value), ("convention", convention)]
-    return _emit(args, payload, rows)
-
-
-def cmd_depth(args) -> int:
-    parsed = load_spec(args.spec)
-    if _maybe_emit_spec(args, parsed):
-        return EXIT_OK
-    rep = parsed.rep
-    if isinstance(rep, GenericRepresentation):
-        if len(rep.blocks) != 1:
-            raise SpecError(
-                "rep.blocks: depth is computed for a single square-integrable"
-                f" block; got {len(rep.blocks)} blocks"
-            )
-        block = rep.blocks[0]
-        depth = depth_esi(block.n, block.conductor)
-    elif isinstance(rep, Supercuspidal):
-        depth = depth_supercuspidal_gl2(rep.effective_conductor)
-    else:
-        raise SpecError(
-            "rep: depth is supported for induced single-block and"
-            " supercuspidal specs only"
-        )
-    payload = {"depth": str(depth)}
-    rows = [("depth", depth)]
-    return _emit(args, payload, rows)
+    rows = args.query.rows(parsed.rep, parsed.field.q,
+                           getattr(args, "level", None))
+    # The table spells booleans as JSON does: true, false.
+    return _emit(args, dict(rows), [
+        (key, json.dumps(value) if isinstance(value, bool) else value)
+        for key, value in rows
+    ])
 
 
 def cmd_global_bounds(args) -> int:
@@ -489,26 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    _add_spec_command(
-        subparsers, "dim", cmd_dim,
-        "fixed-space dimension at a level", with_level=True,
-    )
-    _add_spec_command(
-        subparsers, "has-fixed", cmd_has_fixed,
-        "whether a nonzero fixed vector exists at a level", with_level=True,
-    )
-    _add_spec_command(
-        subparsers, "min-level", cmd_min_level,
-        "least level with a nonzero fixed vector", with_level=False,
-    )
-    _add_spec_command(
-        subparsers, "conductor", cmd_conductor,
-        "conductor of the represented data", with_level=False,
-    )
-    _add_spec_command(
-        subparsers, "depth", cmd_depth,
-        "depth, printed as an exact fraction", with_level=False,
-    )
+    for name, query in QUERIES.items():
+        _add_spec_command(
+            subparsers, name, cmd_query, query.help, query.with_level,
+        ).set_defaults(query=query)
 
     bounds = subparsers.add_parser(
         "global-bounds",

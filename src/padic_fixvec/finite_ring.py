@@ -17,17 +17,14 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; intended for the small primes used here."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Exact primality test for any int: the package's one primality test.
+
+    sympy is imported here, not at module level, so importing this module
+    stays cheap.
+    """
+    from sympy import isprime
+
+    return isprime(n)
 
 
 @dataclass(frozen=True)

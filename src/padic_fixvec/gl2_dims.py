@@ -7,13 +7,22 @@ a literal enumeration of the Whittaker/Kirillov basis functions supported
 on single valuation shells. Non-minimal supercuspidals reduce to the
 minimal member of their twist orbit, whose conductor interacts with a
 twisting character through c = max(s, 2*c_chi).
+
+Each of the three representation types answers conductor(), min_level(),
+depth() and dim(q, m), as GenericRepresentation does, and raises
+ValueError where it has no answer.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from .characters import QuasiCharacterClass, num_classes_exact
-from .cosets import index_m0, parabolic_index_closed
+from .representations import DepthValue, depth_supercuspidal_gl2
+
+_NO_DEPTH = (
+    "rep: depth is supported for induced single-block and supercuspidal"
+    " specs only"
+)
 
 
 @dataclass(frozen=True)
@@ -23,9 +32,29 @@ class PrincipalSeries:
     c1: int
     c2: int
 
+    conductor_convention = "sum of the two character conductors"
+    dim_branch = "principal series closed form"
+
     def __post_init__(self):
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("conductors must be >= 0")
+
+    def conductor(self) -> int:
+        return self.c1 + self.c2
+
+    def min_level(self) -> int:
+        return max(self.c1, self.c2)
+
+    def depth(self) -> DepthValue:
+        raise ValueError(_NO_DEPTH)
+
+    def dim(self, q: int, m: int) -> int:
+        """Level 0 counts the spherical vector: 1 when unramified, else 0."""
+        if m < 0:
+            raise ValueError(f"level must be >= 0, got {m}")
+        if m == 0:
+            return delta_leq(self.c1, 0) * delta_leq(self.c2, 0)
+        return dim_principal_series(q, self.c1, self.c2, m)
 
 
 @dataclass(frozen=True)
@@ -34,9 +63,30 @@ class SteinbergTwist:
 
     c_chi: int
 
+    dim_branch = "Steinberg twist closed form"
+
     def __post_init__(self):
         if self.c_chi < 0:
             raise ValueError("conductor must be >= 0")
+
+    def conductor(self) -> int:
+        raise ValueError(
+            "rep: the conductor of a Steinberg twist is not determined by"
+            " the twist conductor carried here; not supported"
+        )
+
+    def min_level(self) -> int:
+        return max(self.c_chi, 1)
+
+    def depth(self) -> DepthValue:
+        raise ValueError(_NO_DEPTH)
+
+    def dim(self, q: int, m: int) -> int:
+        if m < 0:
+            raise ValueError(f"level must be >= 0, got {m}")
+        if m == 0:
+            return 0
+        return dim_steinberg_twist(q, self.c_chi, m)
 
 
 @dataclass(frozen=True)
@@ -46,6 +96,9 @@ class Supercuspidal:
 
     s: int
     c_chi: int = 0
+
+    conductor_convention = "max(minimal_conductor, 2 * twist_conductor)"
+    dim_branch = "supercuspidal closed form"
 
     def __post_init__(self):
         if self.s < 2:
@@ -58,6 +111,18 @@ class Supercuspidal:
     @property
     def effective_conductor(self) -> int:
         return twisted_conductor_minimal(self.s, self.c_chi)
+
+    def conductor(self) -> int:
+        return self.effective_conductor
+
+    def min_level(self) -> int:
+        return -(-self.effective_conductor // 2)
+
+    def depth(self) -> DepthValue:
+        return depth_supercuspidal_gl2(self.effective_conductor)
+
+    def dim(self, q: int, m: int) -> int:
+        return dim_supercuspidal(q, self.s, self.c_chi, m)
 
 
 GL2Representation = Union[PrincipalSeries, SteinbergTwist, Supercuspidal]
@@ -217,49 +282,3 @@ def kirillov_basis_count(q: int, s: int, c_psi: int, r: int) -> int:
         if lo <= hi:
             total += num_classes_exact(q, i) * (hi - lo + 1)
     return total
-
-
-def dim_gl2(rep: GL2Representation, q: int, m: int) -> int:
-    """Fixed-space dimension at level m >= 0 for any of the three GL_2 types.
-
-    Level 0 reduces to the spherical-vector count: 1 for an unramified
-    principal series, 0 for Steinberg twists and supercuspidals.
-    """
-    if m < 0:
-        raise ValueError(f"level must be >= 0, got {m}")
-    if isinstance(rep, PrincipalSeries):
-        if m == 0:
-            return delta_leq(rep.c1, 0) * delta_leq(rep.c2, 0)
-        return dim_principal_series(q, rep.c1, rep.c2, m)
-    if isinstance(rep, SteinbergTwist):
-        if m == 0:
-            return 0
-        return dim_steinberg_twist(q, rep.c_chi, m)
-    if isinstance(rep, Supercuspidal):
-        if m == 0:
-            return 0
-        return dim_supercuspidal(q, rep.s, rep.c_chi, m)
-    raise TypeError(f"not a GL_2 representation: {rep!r}")
-
-
-def dim_induced_general(
-    partition: Sequence[int], q: int, m: int, block_dims: Sequence[int]
-) -> int:
-    """Fixed-space dimension of a parabolically induced representation:
-    (number of double cosets) * (product of the block fixed-space dims).
-
-    The coset count is the closed-form parabolic index for m >= 1 and 1 at
-    level 0. Block dimensions are the caller's data.
-    """
-    partition = tuple(partition)
-    if len(block_dims) != len(partition):
-        raise ValueError(
-            f"{len(block_dims)} block dimensions for {len(partition)} blocks"
-        )
-    if m < 0:
-        raise ValueError(f"level must be >= 0, got {m}")
-    index = index_m0(partition) if m == 0 else parabolic_index_closed(partition, q, m)
-    dim = index
-    for d in block_dims:
-        dim *= d
-    return dim

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import sympy
 
+from .finite_ring import is_prime
+
 MAX_N = 10**18
 
 
@@ -35,7 +37,7 @@ class GlobalLevel:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
                 raise ValueError(f"exponent of {p} must be >= 1, got {e}")
-            if not sympy.isprime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             product *= p**e
             last_p = p

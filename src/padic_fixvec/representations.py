@@ -2,14 +2,17 @@
 
 A generic irreducible representation is carried by its ordered list of
 essentially-square-integrable blocks (size, conductor). The fixed-vector
-criteria for principal congruence subgroups, the depth, and the conductor
-windows all reduce to exact integer and rational arithmetic on this data.
+criteria for principal congruence subgroups, the depth, the conductor
+windows and the fixed-space dimension of an induced representation all
+reduce to exact integer and rational arithmetic on this data.
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .cosets import index_m0, parabolic_index_closed
 
 # Depth values are exact nonnegative rationals, stored in lowest terms.
 DepthValue = Fraction
@@ -42,9 +45,16 @@ class SquareIntegrableBlock:
 
 @dataclass(frozen=True)
 class GenericRepresentation:
-    """Ordered square-integrable blocks of a parabolically induced representation."""
+    """Ordered square-integrable blocks of a parabolically induced representation.
+
+    Like the GL_2 types in gl2_dims, it answers conductor(), min_level(),
+    depth() and dim(q, m), and raises ValueError where it has no answer.
+    """
 
     blocks: tuple[SquareIntegrableBlock, ...]
+
+    conductor_convention = "sum of block conductors"
+    dim_branch = "induced from characters: coset index times indicators"
 
     def __post_init__(self):
         if len(self.blocks) == 0:
@@ -63,11 +73,61 @@ class GenericRepresentation:
     def partition(self) -> tuple[int, ...]:
         return tuple(b.n for b in self.blocks)
 
+    def conductor(self) -> int:
+        """The sum of block conductors (conductors are additive across
+        parabolic induction)."""
+        return sum(b.conductor for b in self.blocks)
 
-def conductor(rep: GenericRepresentation) -> int:
-    """Conductor of the induced representation as the sum of block conductors
-    (conductors are additive across parabolic induction)."""
-    return sum(b.conductor for b in rep.blocks)
+    def min_level(self) -> int:
+        """Least level with a fixed vector: max over blocks of ceil(c_i / n_i)."""
+        return max(-(-b.conductor // b.n) for b in self.blocks)
+
+    def depth(self) -> DepthValue:
+        """Depth of a single square-integrable block; other shapes raise."""
+        if len(self.blocks) != 1:
+            raise ValueError(
+                "rep.blocks: depth is computed for a single square-integrable"
+                f" block; got {len(self.blocks)} blocks"
+            )
+        return depth_esi(self.blocks[0].n, self.blocks[0].conductor)
+
+    def dim(self, q: int, m: int) -> int:
+        """Fixed-space dimension at level m when every block is a character:
+        the coset index times the blocks' indicators of c_i <= m."""
+        for i, block in enumerate(self.blocks):
+            if block.n >= 2:
+                raise ValueError(
+                    f"rep.blocks[{i}]: dimension of an induced representation "
+                    f"needs the inner fixed-space dimension of each block, "
+                    f"which a size-{block.n} block's conductor alone does not"
+                    " determine; use principal-series, steinberg-twist or"
+                    " supercuspidal for the GL_2 fine types"
+                )
+        block_dims = [1 if b.conductor <= m else 0 for b in self.blocks]
+        return dim_induced_general(self.partition, q, m, block_dims)
+
+
+def dim_induced_general(
+    partition: Sequence[int], q: int, m: int, block_dims: Sequence[int]
+) -> int:
+    """Fixed-space dimension of a parabolically induced representation:
+    (number of double cosets) * (product of the block fixed-space dims).
+
+    The coset count is the closed-form parabolic index for m >= 1 and 1 at
+    level 0. Block dimensions are the caller's data.
+    """
+    partition = tuple(partition)
+    if len(block_dims) != len(partition):
+        raise ValueError(
+            f"{len(block_dims)} block dimensions for {len(partition)} blocks"
+        )
+    if m < 0:
+        raise ValueError(f"level must be >= 0, got {m}")
+    index = index_m0(partition) if m == 0 else parabolic_index_closed(partition, q, m)
+    dim = index
+    for d in block_dims:
+        dim *= d
+    return dim
 
 
 def depth_esi(n: int, c: int) -> DepthValue:
@@ -102,17 +162,11 @@ def has_fixed_vector(rep: GenericRepresentation, m: int) -> bool:
     return all(b.conductor <= m * b.n for b in rep.blocks)
 
 
-def min_level(rep: GenericRepresentation) -> int:
-    """Least level with a fixed vector: max over blocks of ceil(c_i / n_i)."""
-    return max(-(-b.conductor // b.n) for b in rep.blocks)
-
-
 @dataclass(frozen=True)
 class ConductorWindow:
-    """Integer window (lo, hi] containing the conductor, as stated by the
-    closed-form criteria for a representation of minimal level m. The lower
-    bound of the generic variant is reported as stated; the verification
-    suite records the edge cases where its strict form fails as notes."""
+    """Integer window (lo, hi] containing the conductor of a representation
+    of minimal level m, as stated by the closed-form criteria. The verify
+    windows suite checks every variant on an exhaustive grid."""
 
     lo_exclusive: int
     hi_inclusive: int
@@ -129,7 +183,7 @@ class ConductorWindow:
 
 def conductor_window(n: int, m: int, square_integrable: bool = False) -> ConductorWindow:
     """Window of possible conductors for a representation of GL_n whose least
-    fixed-vector level is m: (m, m*n] generically, ((m-1)*n, m*n] in the
+    fixed-vector level is m: [m, m*n] generically, ((m-1)*n, m*n] in the
     square-integrable case, and {0} when m = 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -139,7 +193,7 @@ def conductor_window(n: int, m: int, square_integrable: bool = False) -> Conduct
         return ConductorWindow(-1, 0, "level-zero")
     if square_integrable:
         return ConductorWindow((m - 1) * n, m * n, "square-integrable")
-    return ConductorWindow(m, m * n, "generic")
+    return ConductorWindow(m - 1, m * n, "generic")
 
 
 def depth_supercuspidal_gl2(c: int) -> DepthValue:

@@ -17,11 +17,9 @@ from padic_fixvec import (
     PrincipalSeries,
     SteinbergTwist,
     Supercuspidal,
-    conductor,
     conductor_bounds,
     delta_leq,
     depth_esi,
-    dim_gl2,
     dim_principal_series,
     dim_steinberg_twist,
     dim_supercuspidal_lattice,
@@ -32,7 +30,6 @@ from padic_fixvec import (
     has_fixed_vector_depth,
     kirillov_basis_count,
     local_conductor_window,
-    min_level,
     parabolic_index_closed,
     parabolic_index_enumerated,
 )
@@ -167,7 +164,7 @@ def test_05_level_criteria_equivalence():
         warnings.simplefilter("ignore", ImplausibleConductorWarning)
         for rep in _all_induced_reps(4, 8):
             pairs = [(b.n, b.conductor) for b in rep.blocks]
-            ml = min_level(rep)
+            ml = rep.min_level()
             for m in range(0, 7):
                 instances += 1
                 by_conductor = has_fixed_vector(rep, m)
@@ -183,7 +180,7 @@ def test_05_level_criteria_equivalence():
                         failures.append(
                             f"{pairs} m={m}: depth criterion differs"
                         )
-            c_total, n_total = conductor(rep), rep.n
+            c_total, n_total = rep.conductor(), rep.n
             if ml >= 1:
                 instances += 1
                 if len(rep.blocks) == 1:
@@ -272,7 +269,7 @@ def test_08_level_monotonicity():
     for q in (2, 3, 4, 5, 7):
         for rep in reps:
             instances += 1
-            dims = [dim_gl2(rep, q, m) for m in range(0, 9)]
+            dims = [rep.dim(q, m) for m in range(0, 9)]
             if dims != sorted(dims):
                 failures.append(f"q={q} {rep}: {dims}")
     _finish(8, "level monotonicity", started, failures, instances)

@@ -216,7 +216,7 @@ def test_verify_json_under_budget(capsys):
 
 def test_verify_rejects_bad_budget(capsys):
     # A zero, negative or fractional budget would skip every oracle.
-    for budget in ("lots", "0", "-5", "10^-1"):
+    for budget in ("lots", "0", "-5", "10^-1", "10^100000000"):
         err = run_err(capsys, ["verify", "--suite", "characters", "--budget", budget])
         assert "budget" in err
 

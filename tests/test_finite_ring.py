@@ -18,6 +18,7 @@ from padic_fixvec.finite_ring import (
 @pytest.mark.parametrize("n,expected", [
     (0, False), (1, False), (2, True), (3, True), (4, False), (9, False),
     (97, True), (91, False), (2 ** 13 - 1, True),
+    (10**18 + 3, True), (10**18 + 1, False),
 ])
 def test_is_prime(n, expected):
     assert is_prime(n) is expected

@@ -6,8 +6,6 @@ from padic_fixvec.gl2_dims import (
     SteinbergTwist,
     Supercuspidal,
     delta_leq,
-    dim_gl2,
-    dim_induced_general,
     dim_principal_series,
     dim_steinberg_twist,
     dim_supercuspidal,
@@ -18,6 +16,7 @@ from padic_fixvec.gl2_dims import (
     kirillov_support_interval,
     twisted_conductor_minimal,
 )
+from padic_fixvec.representations import dim_induced_general
 
 
 @pytest.mark.parametrize("cond,r,expected", [(0, 0, 1), (2, 1, 0), (1, 1, 1)])
@@ -155,20 +154,18 @@ def test_rep_constructors_validate():
 
 
 def test_dim_gl2_level_zero():
-    assert dim_gl2(PrincipalSeries(0, 0), 5, 0) == 1
-    assert dim_gl2(PrincipalSeries(1, 0), 5, 0) == 0
-    assert dim_gl2(SteinbergTwist(0), 5, 0) == 0
-    assert dim_gl2(Supercuspidal(2), 3, 0) == 0
+    assert PrincipalSeries(0, 0).dim(5, 0) == 1
+    assert PrincipalSeries(1, 0).dim(5, 0) == 0
+    assert SteinbergTwist(0).dim(5, 0) == 0
+    assert Supercuspidal(2).dim(3, 0) == 0
 
 
 def test_dim_gl2_dispatch():
-    assert dim_gl2(Supercuspidal(2), 3, 1) == 2
-    assert dim_gl2(PrincipalSeries(0, 0), 3, 1) == 4
-    assert dim_gl2(SteinbergTwist(0), 3, 1) == 3
+    assert Supercuspidal(2).dim(3, 1) == 2
+    assert PrincipalSeries(0, 0).dim(3, 1) == 4
+    assert SteinbergTwist(0).dim(3, 1) == 3
     with pytest.raises(ValueError):
-        dim_gl2(SteinbergTwist(0), 3, -1)
-    with pytest.raises(TypeError):
-        dim_gl2("steinberg", 3, 1)
+        SteinbergTwist(0).dim(3, -1)
 
 
 def test_exact_sequence_identity():
@@ -195,5 +192,5 @@ def test_dim_induced_general():
 def test_level_monotonicity_spot():
     reps = [PrincipalSeries(2, 1), SteinbergTwist(2), Supercuspidal(5, 1)]
     for rep in reps:
-        dims = [dim_gl2(rep, 3, m) for m in range(0, 8)]
+        dims = [rep.dim(3, m) for m in range(0, 8)]
         assert dims == sorted(dims)

@@ -8,14 +8,12 @@ from padic_fixvec.representations import (
     GenericRepresentation,
     ImplausibleConductorWarning,
     SquareIntegrableBlock,
-    conductor,
     conductor_window,
     depth_esi,
     depth_supercuspidal_gl2,
     has_fixed_vector,
     has_fixed_vector_depth,
     has_fixed_vector_esi,
-    min_level,
 )
 
 
@@ -29,7 +27,7 @@ def rep(*pairs):
     (((2, 2),), 2),
 ])
 def test_conductor_is_block_sum(pairs, expected):
-    assert conductor(rep(*pairs)) == expected
+    assert rep(*pairs).conductor() == expected
 
 
 @pytest.mark.parametrize("n,c,expected", [
@@ -88,7 +86,7 @@ def test_has_fixed_vector_blockwise():
     (((3, 7),), 3),
 ])
 def test_min_level(pairs, expected):
-    assert min_level(rep(*pairs)) == expected
+    assert rep(*pairs).min_level() == expected
 
 
 def test_criteria_agree_on_a_grid():
@@ -112,7 +110,7 @@ def test_conductor_window_esi():
 
 def test_conductor_window_generic():
     window = conductor_window(3, 1)
-    assert (window.lo_exclusive, window.hi_inclusive) == (1, 3)
+    assert (window.lo_exclusive, window.hi_inclusive) == (0, 3)
     assert window.variant == "generic"
 
 
@@ -167,7 +165,7 @@ def test_generic_representation_shape():
 def test_min_level_matches_brute_force_small():
     for pairs in (((2, 3),), ((1, 2), (1, 0)), ((3, 5), (1, 1)), ((2, 8),)):
         pi = rep(*pairs)
-        ml = min_level(pi)
+        ml = pi.min_level()
         assert has_fixed_vector(pi, ml)
         if ml >= 1:
             assert not has_fixed_vector(pi, ml - 1)

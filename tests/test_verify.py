@@ -64,3 +64,11 @@ def test_suite_report_bookkeeping():
 
     report.note("heads-up")
     assert report.notes == ["heads-up"]
+
+
+def test_run_all_fails_when_a_check_runs_no_instance():
+    # At budget 1 every matrix and unit-dual oracle skips all its instances.
+    reports = run_all(budget=1)
+    assert not all(r.passed for r in reports)
+    empty = [c for r in reports for c in r.checks if not c.ok]
+    assert empty and all(c.detail == "0 instances" for c in empty)
