@@ -5,7 +5,6 @@ minimal principal congruence level imposes.
 
 from padic_fixvec import (
     GenericRepresentation,
-    conductor_bounds,
     conductor_window,
     depth_esi,
     factorize,
@@ -54,8 +53,8 @@ def main() -> None:
     print("[max(rad N, N/rad N), N^n], refined prime by prime:\n")
     n = 2
     for N in (12, 360, 1024):
-        bounds = conductor_bounds(n, N)
         level = factorize(N)
+        bounds = level.conductor_bounds(n)
         windows = "; ".join(
             f"p={p}: exponent in {local_conductor_window(n, e)}"
             for p, e in level.factorization

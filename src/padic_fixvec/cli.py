@@ -33,7 +33,6 @@ import sys
 from dataclasses import astuple, dataclass
 from typing import Callable, NamedTuple, Union
 
-from . import verify
 from .budget import parse_budget
 from .finite_ring import LocalFieldParams, is_prime
 from .characters import num_classes_exact
@@ -45,7 +44,7 @@ from .gl2_dims import (
     kirillov_basis_count,
     kirillov_support_interval,
 )
-from .global_bounds import conductor_bounds, factorize, local_conductor_window
+from .global_bounds import factorize, local_conductor_window
 from .representations import GenericRepresentation
 
 EXIT_OK = 0
@@ -255,7 +254,7 @@ def cmd_query(args) -> int:
 
 def cmd_global_bounds(args) -> int:
     level = factorize(args.level_N)
-    bounds = conductor_bounds(args.n, args.level_N)
+    bounds = level.conductor_bounds(args.n)
     windows = [
         {"p": p, "e": e, **dict(zip(("lo", "hi"),
                                     local_conductor_window(args.n, e)))}
@@ -336,6 +335,8 @@ def cmd_kirillov_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     budget = parse_budget(args.budget) if args.budget else None
     if args.suite == "all":
         reports = verify.run_all(budget)

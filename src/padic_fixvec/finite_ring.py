@@ -183,9 +183,8 @@ def _enumerate_gl_rows(n: int, p: int, m: int, budget: int | None = None) -> Ite
     required = p ** (m * n * n)
     if required > limit:
         raise BudgetExceededError(required, limit, f"enumerating GL_{n}(Z/{p}^{m})")
-    pm = p**m
-    for flat in product(range(pm), repeat=n * n):
-        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+    row_space = list(product(range(p**m), repeat=n))
+    for rows in product(row_space, repeat=n):
         if det_int(rows) % p != 0:
             yield rows
 
@@ -206,30 +205,23 @@ def _enumerate_parabolic_rows(
 ) -> Iterator[Rows]:
     """Raw row-tuples of the invertible block-upper-triangular matrices.
 
-    Structured enumeration: invertible diagonal blocks, free entries above.
-    Exactly parabolic_order(partition, p, m) matrices are produced, far
-    fewer candidates than filtering all of M_n.
+    Structured enumeration. Each diagonal block contributes a group of
+    rows: a zero prefix up to the block's first column, the rows of an
+    invertible block, then free entries to the right. The matrices are the
+    product of the blocks' lists of such groups, exactly
+    parabolic_order(partition, p, m) of them, far fewer candidates than
+    filtering all of M_n.
     """
     n = sum(partition)
-    starts = _block_starts(partition)
     pm = p**m
-    block_lists = [
-        list(_enumerate_gl_rows(part, p, m, budget)) for part in partition
-    ]
-    above_positions = [
-        (i, j)
-        for bi, start in enumerate(starts)
-        for i in range(start, start + partition[bi])
-        for j in range(start + partition[bi], n)
-    ]
-    for blocks in product(*block_lists):
-        base = [[0] * n for _ in range(n)]
-        for block, start in zip(blocks, starts):
-            size = len(block)
-            for i in range(size):
-                for j in range(size):
-                    base[start + i][start + j] = block[i][j]
-        for values in product(range(pm), repeat=len(above_positions)):
-            for (i, j), v in zip(above_positions, values):
-                base[i][j] = v
-            yield tuple(tuple(row) for row in base)
+    groups = []
+    for start, part in zip(_block_starts(partition), partition):
+        prefix = (0,) * start
+        tails = list(product(range(pm), repeat=n - start - part))
+        groups.append([
+            tuple(prefix + row + tail for row, tail in zip(block, block_tails))
+            for block in _enumerate_gl_rows(part, p, m, budget)
+            for block_tails in product(tails, repeat=part)
+        ])
+    for choice in product(*groups):
+        yield sum(choice, ())

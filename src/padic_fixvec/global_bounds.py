@@ -9,8 +9,6 @@ field of rational numbers; number-field generality is out of scope.
 
 from dataclasses import dataclass
 
-import sympy
-
 from .finite_ring import is_prime
 
 MAX_N = 10**18
@@ -54,6 +52,14 @@ class GlobalLevel:
             rad *= p
         return rad
 
+    def conductor_bounds(self, n: int) -> "BoundsResult":
+        """Conductor range for a group size n at this minimal level:
+        lower = max(rad(N), N // rad(N)), upper = N**n."""
+        if n < 1:
+            raise ValueError(f"group size must be >= 1, got {n}")
+        rad = self.radical
+        return BoundsResult(max(rad, self.N // rad), self.N**n)
+
 
 @dataclass(frozen=True)
 class BoundsResult:
@@ -70,10 +76,16 @@ class BoundsResult:
 
 
 def factorize(N: int) -> GlobalLevel:
-    """Complete prime factorization of 1 <= N <= 10**18."""
+    """Complete prime factorization of 1 <= N <= 10**18.
+
+    sympy is imported here, not at module level, so importing this module
+    stays cheap.
+    """
     if not (1 <= N <= MAX_N):
         raise ValueError(f"level must be in [1, 10^18], got {N}")
-    pairs = tuple(sorted((p, e) for p, e in sympy.factorint(N).items()))
+    from sympy import factorint
+
+    pairs = tuple(sorted((p, e) for p, e in factorint(N).items()))
     return GlobalLevel(N, pairs)
 
 
@@ -83,13 +95,9 @@ def radical(N: int) -> int:
 
 
 def conductor_bounds(n: int, N: int) -> BoundsResult:
-    """Conductor range for a group size n and minimal level N:
-    lower = max(rad(N), N // rad(N)), upper = N**n."""
-    if n < 1:
-        raise ValueError(f"group size must be >= 1, got {n}")
-    level = factorize(N)
-    rad = level.radical
-    return BoundsResult(max(rad, N // rad), N**n)
+    """Conductor range for a group size n and minimal level N; see
+    GlobalLevel.conductor_bounds."""
+    return factorize(N).conductor_bounds(n)
 
 
 def local_conductor_window(n: int, e_p: int) -> tuple[int, int]:

@@ -20,6 +20,7 @@ vacuously.
 """
 
 import itertools
+import math
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +30,17 @@ from . import cosets, finite_ring, gl2_dims, global_bounds, representations
 from .budget import BudgetExceededError
 
 MAX_FAILURE_DETAILS = 5
+
+# (n, p, m) of the enumerated GL_n(Z/p^m) counts, and (partition, p, m) of
+# the enumerated parabolic counts (those with at most 200,000 elements).
+GL_COUNT_CASES = [(2, p, m) for p in (2, 3, 5) for m in (1, 2)]
+GL_COUNT_CASES += [(3, 2, 1), (3, 3, 1)]
+PARABOLIC_COUNT_CASES = [
+    (part, p, m)
+    for part in ((1, 1), (2, 1), (1, 2), (1, 1, 1))
+    for p in (2, 3) for m in (1, 2)
+    if finite_ring.parabolic_order(part, p, m) <= 200_000
+]
 
 
 @dataclass
@@ -76,9 +88,7 @@ def run_cosets(budget: int | None = None) -> SuiteReport:
     # Enumerated group sizes match the order formulas.
     failures: list[str] = []
     instances = 0
-    gl_cases = [(2, p, m) for p in (2, 3, 5) for m in (1, 2)]
-    gl_cases += [(3, 2, 1), (3, 3, 1)]
-    for n, p, m in gl_cases:
+    for n, p, m in GL_COUNT_CASES:
         try:
             count = sum(1 for _ in finite_ring._enumerate_gl_rows(n, p, m, budget))
         except BudgetExceededError as exc:
@@ -91,11 +101,7 @@ def run_cosets(budget: int | None = None) -> SuiteReport:
     report.add("enumerated |GL_n(Z/p^m)| equals gl_order", failures, instances)
 
     failures, instances = [], 0
-    par_cases = [(part, p, m) for part in ((1, 1), (2, 1), (1, 2), (1, 1, 1))
-                 for p in (2, 3) for m in (1, 2)]
-    par_cases = [(part, p, m) for part, p, m in par_cases
-                 if finite_ring.parabolic_order(part, p, m) <= 200_000]
-    for part, p, m in par_cases:
+    for part, p, m in PARABOLIC_COUNT_CASES:
         try:
             count = sum(
                 1 for _ in finite_ring._enumerate_parabolic_rows(
@@ -449,7 +455,7 @@ def run_windows(budget: int | None = None) -> SuiteReport:
     min_level_failures: list[str] = []
     esi_failures: list[str] = []
     generic_failures: list[str] = []
-    instances = 0
+    instances = single_block_instances = 0
     with warnings.catch_warnings():
         warnings.simplefilter(
             "ignore", representations.ImplausibleConductorWarning
@@ -464,6 +470,7 @@ def run_windows(budget: int | None = None) -> SuiteReport:
                 min_level_failures.append(f"{pairs}: vector below {ml}")
             c = rep.conductor()
             if len(rep.blocks) == 1:
+                single_block_instances += 1
                 window = representations.conductor_window(
                     rep.n, ml, square_integrable=True
                 )
@@ -478,7 +485,7 @@ def run_windows(budget: int | None = None) -> SuiteReport:
     )
     report.add(
         "single-block conductors lie in the square-integrable window",
-        esi_failures, instances,
+        esi_failures, single_block_instances,
     )
     report.add(
         "conductors lie in the generic window [m, mn]",
@@ -493,28 +500,23 @@ def run_windows(budget: int | None = None) -> SuiteReport:
         failures.append(f"(n=2, N=12): {(spot.lower, spot.upper)}")
     for N in range(1, 10_001):
         level = global_bounds.factorize(N)
-        windows_by_n = {}
         for n in range(1, 5):
-            bounds = global_bounds.conductor_bounds(n, N)
+            bounds = level.conductor_bounds(n)
             instances += 1
             if not (bounds.lower <= N <= bounds.upper):
                 failures.append(f"(n={n}, N={N}): N outside bounds")
             if n == 1 and bounds.upper != N:
                 failures.append(f"(n=1, N={N}): upper {bounds.upper} != N")
-            windows_by_n[n] = (
-                [global_bounds.local_conductor_window(n, e) for _, e in
-                 level.factorization],
-                bounds,
-            )
-        for n, (local_windows, bounds) in windows_by_n.items():
-            choices = [(lo, (lo + hi) // 2, hi) for lo, hi in local_windows]
-            for exponents in itertools.product(*choices):
-                product = 1
-                for (p, _), c_p in zip(level.factorization, exponents):
-                    product *= p**c_p
+            # Each prime's distinct exponent choices, as prime powers.
+            choices = []
+            for p, e in level.factorization:
+                lo, hi = global_bounds.local_conductor_window(n, e)
+                choices.append([p**c for c in sorted({lo, (lo + hi) // 2, hi})])
+            for powers in itertools.product(*choices):
+                product = math.prod(powers)
                 if not (bounds.lower <= product <= bounds.upper):
                     failures.append(
-                        f"(n={n}, N={N}) exponents {exponents}: {product}"
+                        f"(n={n}, N={N}) prime powers {powers}: {product}"
                     )
     report.add(
         "local windows compose to products inside the global bounds",

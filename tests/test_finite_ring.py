@@ -1,10 +1,15 @@
+from itertools import product, zip_longest
+
 import pytest
 
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.finite_ring import (
     LocalFieldParams,
     MatrixModPM,
+    _block_starts,
+    _enumerate_gl_rows,
     _enumerate_parabolic_rows,
+    _rows_in_parabolic,
     det_int,
     enumerate_gl,
     gl_order,
@@ -13,6 +18,11 @@ from padic_fixvec.finite_ring import (
     is_prime,
     parabolic_order,
 )
+from padic_fixvec.verify import GL_COUNT_CASES, PARABOLIC_COUNT_CASES
+
+# Above this many candidates, filtering all of GL_n by _rows_in_parabolic
+# is too slow for a unit test; the structured reference still runs.
+GL_FILTER_LIMIT = 10**6
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -170,3 +180,72 @@ def test_enumerate_parabolic_count(partition, p, m):
     pm_mats = [MatrixModPM(p, m, r) for r in rows]
     assert all(in_parabolic(a, partition) for a in pm_mats)
     assert all(is_invertible(a) for a in pm_mats)
+
+
+def _flat_gl_rows(n, p, m):
+    """Reference: the flat-product loop that slices every n*n-tuple of
+    Z/p^m into rows and keeps those with a unit determinant."""
+    for flat in product(range(p**m), repeat=n * n):
+        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if det_int(rows) % p != 0:
+            yield rows
+
+
+def _base_matrix_parabolic_rows(partition, p, m):
+    """Reference: fill a base matrix with each choice of invertible
+    diagonal blocks, then with each choice of the entries above them."""
+    n = sum(partition)
+    starts = _block_starts(partition)
+    block_lists = [list(_flat_gl_rows(part, p, m)) for part in partition]
+    above_positions = [
+        (i, j)
+        for bi, start in enumerate(starts)
+        for i in range(start, start + partition[bi])
+        for j in range(start + partition[bi], n)
+    ]
+    for blocks in product(*block_lists):
+        base = [[0] * n for _ in range(n)]
+        for block, start in zip(blocks, starts):
+            for i, row in enumerate(block):
+                base[start + i][start : start + len(row)] = row
+        for values in product(range(p**m), repeat=len(above_positions)):
+            for (i, j), v in zip(above_positions, values):
+                base[i][j] = v
+            yield tuple(tuple(row) for row in base)
+
+
+@pytest.mark.parametrize("n,p,m", GL_COUNT_CASES)
+def test_gl_rows_stream_equals_flat_reference(n, p, m):
+    pairs = zip_longest(_flat_gl_rows(n, p, m), _enumerate_gl_rows(n, p, m))
+    assert all(ref == got for ref, got in pairs)
+
+
+@pytest.mark.parametrize("partition,p,m", PARABOLIC_COUNT_CASES)
+def test_parabolic_rows_equal_references(partition, p, m):
+    rows = list(_enumerate_parabolic_rows(partition, p, m))
+    got = set(rows)
+    assert len(got) == len(rows)
+    assert got == set(_base_matrix_parabolic_rows(partition, p, m))
+    n = sum(partition)
+    if p ** (m * n * n) <= GL_FILTER_LIMIT:
+        assert got == {
+            r for r in _enumerate_gl_rows(n, p, m)
+            if _rows_in_parabolic(r, partition)
+        }
+
+
+@pytest.mark.parametrize("n,p,m", [(1, 5, 3), (2, 2, 2), (3, 3, 1)])
+def test_gl_rows_budget(n, p, m):
+    required = p ** (m * n * n)
+    with pytest.raises(BudgetExceededError) as info:
+        next(_enumerate_gl_rows(n, p, m, budget=required - 1))
+    assert (info.value.required, info.value.budget) == (required, required - 1)
+    rows = _enumerate_gl_rows(n, p, m, budget=required)
+    assert sum(1 for _ in rows) == gl_order(n, p, m)
+
+
+def test_parabolic_rows_budget():
+    # The budget gates each diagonal block's GL enumeration.
+    with pytest.raises(BudgetExceededError) as info:
+        next(_enumerate_parabolic_rows((1, 2), 2, 2, budget=100))
+    assert info.value.required == 2 ** (2 * 2 * 2)

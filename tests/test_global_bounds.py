@@ -58,6 +58,15 @@ def test_conductor_bounds(n, N, lower, upper):
     assert conductor_bounds(n, N) == BoundsResult(lower, upper)
 
 
+def test_level_conductor_bounds_matches_free_function():
+    for N in range(1, 201):
+        level = factorize(N)
+        for n in range(1, 5):
+            assert level.conductor_bounds(n) == conductor_bounds(n, N)
+    with pytest.raises(ValueError):
+        factorize(12).conductor_bounds(0)
+
+
 def test_conductor_bounds_domain():
     with pytest.raises(ValueError):
         conductor_bounds(0, 12)

@@ -72,3 +72,59 @@ def test_run_all_fails_when_a_check_runs_no_instance():
     assert not all(r.passed for r in reports)
     empty = [c for r in reports for c in r.checks if not c.ok]
     assert empty and all(c.detail == "0 instances" for c in empty)
+
+
+# Instances each check runs per suite at the default budget. A change that
+# makes verify faster must not make it check less.
+EXPECTED_INSTANCES = {
+    "cosets": {
+        "enumerated |GL_n(Z/p^m)| equals gl_order": 8,
+        "enumerated parabolic size equals parabolic_order": 14,
+        "gl_order(m+1) = gl_order(m) * q^(n^2)": 72,
+        "is_invertible(a @ b) = is_invertible(a) and is_invertible(b)": 600,
+        "parabolic_index_closed equals parabolic_index_enumerated": 18,
+        "Borel index = q^(r-1) * (q+1)": 30,
+        "index of a refinement is divisible by index of a coarsening": 84,
+    },
+    "characters": {
+        "enumerated conductor histogram equals class-count formula": 20,
+        "unit dual size equals (p-1) * p^(r-1)": 16,
+        "class counts: running total equals (q-1) * q^(r-1)": 64,
+    },
+    "supercuspidal": {
+        "closed form = lattice sum = Kirillov basis count": 220,
+        "materialized Kirillov basis matches its interval count": 48,
+        "dimension at the minimal level": 35,
+        "twisting is invisible once the level passes the twisted conductor":
+            2205,
+        "principal series minus Steinberg twist is the trivial-quotient line":
+            252,
+        "dimension is nondecreasing in the level": 525,
+        "positive dimension exactly when the level is >= min_level": 4725,
+        "positive dimension exactly when conductor <= 2 * level": 2205,
+        "unramified principal series dimension equals the coset count": 7,
+    },
+    "windows": {
+        "conductor criterion agrees with depth criterion": 630,
+        "GL_2 supercuspidal depth matches the general formula": 19,
+        "min_level is the least level with a fixed vector": 9999,
+        "single-block conductors lie in the square-integrable window": 36,
+        "conductors lie in the generic window [m, mn]": 9999,
+        "local windows compose to products inside the global bounds": 40001,
+    },
+}
+
+
+def test_run_all_instance_counts_at_default_budget(monkeypatch):
+    monkeypatch.delenv(ENV_BUDGET, raising=False)
+    reports = run_all()
+    assert all(r.passed and r.notes == [] for r in reports)
+    counts = {
+        r.suite: {c.name: c.detail for c in r.checks} for r in reports
+    }
+    assert counts == {
+        suite: {name: f"{n} instances" for name, n in checks.items()}
+        for suite, checks in EXPECTED_INSTANCES.items()
+    }
+    total = sum(sum(checks.values()) for checks in EXPECTED_INSTANCES.values())
+    assert total == 71_832
