@@ -69,14 +69,12 @@ from .representations import (
     has_fixed_vector_depth,
     has_fixed_vector_esi,
 )
-from .verify import SUITES, Check, SuiteReport, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundsResult",
     "BudgetExceededError",
-    "Check",
     "ConductorWindow",
     "DEFAULT_CANDIDATE_BUDGET",
     "DEFAULT_UNIT_DUAL_BUDGET",
@@ -90,10 +88,8 @@ __all__ = [
     "MatrixModPM",
     "PrincipalSeries",
     "QuasiCharacterClass",
-    "SUITES",
     "SquareIntegrableBlock",
     "SteinbergTwist",
-    "SuiteReport",
     "Supercuspidal",
     "conductor_bounds",
     "conductor_histogram",
@@ -127,6 +123,5 @@ __all__ = [
     "parabolic_order",
     "parse_budget",
     "radical",
-    "run_all",
     "twisted_conductor_minimal",
 ]

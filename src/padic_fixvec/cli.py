@@ -30,7 +30,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Callable, NamedTuple, Union
 
 from .budget import parse_budget
@@ -343,19 +343,7 @@ def cmd_verify(args) -> int:
     else:
         reports = [verify.SUITES[args.suite](budget)]
     if args.json:
-        payload = [
-            {
-                "suite": r.suite,
-                "passed": r.passed,
-                "checks": [
-                    {"name": c.name, "ok": c.ok, "detail": c.detail}
-                    for c in r.checks
-                ],
-                "notes": r.notes,
-            }
-            for r in reports
-        ]
-        _print_json(payload)
+        _print_json([{**asdict(r), "passed": r.passed} for r in reports])
     else:
         for r in reports:
             for check in r.checks:

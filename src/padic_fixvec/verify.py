@@ -14,9 +14,12 @@ Four suites, each pure and deterministic:
 - windows: conductor/depth/level criteria for induced representations,
   exhaustively on a small grid, plus the global conductor-bound sweeps.
 
-Instances that exceed the enumeration budget are recorded as notes, not
-failures. A check that runs no instance at all fails, so no suite passes
-vacuously.
+Every check goes through SuiteReport.check: a stream of cases and a test
+per check name, each test returning a failure detail or a false value.
+Several names may share one stream, which is then generated once. Cases
+that exceed the enumeration budget are recorded as notes, not failures. A
+check that runs no instance at all fails, so no suite passes vacuously.
+The acceptance tests in tests/test_acceptance.py read these checks by name.
 """
 
 import itertools
@@ -24,6 +27,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from . import characters as chars
 from . import cosets, finite_ring, gl2_dims, global_bounds, representations
@@ -80,130 +84,123 @@ class SuiteReport:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
+    def check(self, cases: Iterable[tuple], tests: dict[str, Callable]):
+        """Run every named test on every case and record one Check per name,
+        in the order of `tests`.
+
+        A case is a tuple of arguments; a test returns a failure detail, or
+        a false value when its identity holds for the case. The cases are
+        iterated once, so a generator is never held in memory. A case whose
+        oracle exceeds the budget becomes a note naming the check, and is
+        not counted as an instance.
+        """
+        failures: dict[str, list[str]] = {name: [] for name in tests}
+        instances = dict.fromkeys(tests, 0)
+        for case in cases:
+            for name, test in tests.items():
+                try:
+                    detail = test(*case)
+                except BudgetExceededError as exc:
+                    self.note(f"{name}: {case} skipped: {exc}")
+                    continue
+                instances[name] += 1
+                if detail:
+                    failures[name].append(f"{case}: {detail}")
+        for name in tests:
+            self.add(name, failures[name], instances[name])
+
+
+def _differ(*values) -> str | None:
+    """None when all values are equal, else them all as a failure detail."""
+    if all(value == values[0] for value in values):
+        return None
+    return " != ".join(map(str, values))
+
+
+def _random_matrix_pairs():
+    """200 seeded pairs of random matrices over each of three rings."""
+    rng = random.Random(20260815)
+    for n, p, m in ((2, 3, 2), (3, 2, 1), (2, 2, 3)):
+        for _ in range(200):
+            yield tuple(
+                finite_ring.MatrixModPM(p, m, tuple(
+                    tuple(rng.randrange(p**m) for _ in range(n))
+                    for _ in range(n)
+                ))
+                for _ in range(2)
+            )
+
 
 def run_cosets(budget: int | None = None) -> SuiteReport:
     """Enumeration-vs-closed-form checks for GL_n(Z/p^m) and its parabolics."""
     report = SuiteReport("cosets")
 
-    # Enumerated group sizes match the order formulas.
-    failures: list[str] = []
-    instances = 0
-    for n, p, m in GL_COUNT_CASES:
-        try:
-            count = sum(1 for _ in finite_ring._enumerate_gl_rows(n, p, m, budget))
-        except BudgetExceededError as exc:
-            report.note(f"gl count n={n} p={p} m={m} skipped: {exc}")
-            continue
-        instances += 1
-        expected = finite_ring.gl_order(n, p, m)
-        if count != expected:
-            failures.append(f"n={n} p={p} m={m}: {count} != {expected}")
-    report.add("enumerated |GL_n(Z/p^m)| equals gl_order", failures, instances)
-
-    failures, instances = [], 0
-    for part, p, m in PARABOLIC_COUNT_CASES:
-        try:
-            count = sum(
-                1 for _ in finite_ring._enumerate_parabolic_rows(
+    report.check(GL_COUNT_CASES, {
+        "enumerated |GL_n(Z/p^m)| equals gl_order": lambda n, p, m: _differ(
+            sum(1 for _ in finite_ring._enumerate_gl_rows(n, p, m, budget)),
+            finite_ring.gl_order(n, p, m),
+        ),
+    })
+    report.check(PARABOLIC_COUNT_CASES, {
+        "enumerated parabolic size equals parabolic_order":
+            lambda part, p, m: _differ(
+                sum(1 for _ in finite_ring._enumerate_parabolic_rows(
                     part, p, m, budget
-                )
-            )
-        except BudgetExceededError as exc:
-            report.note(f"parabolic count {part} p={p} m={m} skipped: {exc}")
-            continue
-        instances += 1
-        expected = finite_ring.parabolic_order(part, p, m)
-        if count != expected:
-            failures.append(f"{part} p={p} m={m}: {count} != {expected}")
-    report.add(
-        "enumerated parabolic size equals parabolic_order", failures, instances
+                )),
+                finite_ring.parabolic_order(part, p, m),
+            ),
+    })
+
+    report.check(
+        itertools.product((1, 2, 3, 4), (2, 3, 4, 5, 7, 9), (1, 2, 3)),
+        {"gl_order(m+1) = gl_order(m) * q^(n^2)": lambda n, q, m: _differ(
+            finite_ring.gl_order(n, q, m + 1),
+            finite_ring.gl_order(n, q, m) * q ** (n * n),
+        )},
     )
 
-    # Order ratio when the level rises by one.
-    failures, instances = [], 0
-    for n, q, m in itertools.product((1, 2, 3, 4), (2, 3, 4, 5, 7, 9), (1, 2, 3)):
-        instances += 1
-        lhs = finite_ring.gl_order(n, q, m + 1)
-        rhs = finite_ring.gl_order(n, q, m) * q ** (n * n)
-        if lhs != rhs:
-            failures.append(f"n={n} q={q} m={m}: {lhs} != {rhs}")
-    report.add("gl_order(m+1) = gl_order(m) * q^(n^2)", failures, instances)
+    report.check(_random_matrix_pairs(), {
+        "is_invertible(a @ b) = is_invertible(a) and is_invertible(b)":
+            lambda a, b: _differ(
+                finite_ring.is_invertible(a @ b),
+                finite_ring.is_invertible(a) and finite_ring.is_invertible(b),
+            ),
+    })
 
-    # Invertibility is multiplicative (determinants of products).
-    failures, instances = [], 0
-    rng = random.Random(20260815)
-    for n, p, m in ((2, 3, 2), (3, 2, 1), (2, 2, 3)):
-        pm = p**m
-        for _ in range(200):
-            a = finite_ring.MatrixModPM(p, m, tuple(
-                tuple(rng.randrange(pm) for _ in range(n)) for _ in range(n)
-            ))
-            b = finite_ring.MatrixModPM(p, m, tuple(
-                tuple(rng.randrange(pm) for _ in range(n)) for _ in range(n)
-            ))
-            instances += 1
-            lhs = finite_ring.is_invertible(a @ b)
-            rhs = finite_ring.is_invertible(a) and finite_ring.is_invertible(b)
-            if lhs != rhs:
-                failures.append(f"n={n} p={p} m={m}: {a.rows} x {b.rows}")
-    report.add(
-        "is_invertible(a @ b) = is_invertible(a) and is_invertible(b)",
-        failures, instances,
-    )
-
-    # Closed-form index equals the enumerated double-coset count.
-    failures, instances = [], 0
     index_cases = [((1, 1), p, m) for p in (2, 3, 5) for m in (1, 2)]
     index_cases += [(part, p, 1) for part in ((2, 1), (1, 2), (1, 1, 1))
                     for p in (2, 3, 5)]
     index_cases += [(part, 2, 2) for part in ((2, 1), (1, 2), (1, 1, 1))]
-    for part, p, m in index_cases:
-        closed = cosets.parabolic_index_closed(part, p, m)
-        try:
-            enumerated = cosets.parabolic_index_enumerated(
-                part, p, m, budget=budget
-            )
-        except BudgetExceededError as exc:
-            report.note(f"index {part} p={p} m={m} skipped: {exc}")
-            continue
-        instances += 1
-        if closed != enumerated:
-            failures.append(f"{part} p={p} m={m}: {closed} != {enumerated}")
-    report.add(
-        "parabolic_index_closed equals parabolic_index_enumerated",
-        failures, instances,
-    )
+    report.check(index_cases, {
+        "parabolic_index_closed equals parabolic_index_enumerated":
+            lambda part, p, m: _differ(
+                cosets.parabolic_index_closed(part, p, m),
+                cosets.parabolic_index_enumerated(part, p, m, budget=budget),
+            ),
+    })
 
-    # Borel index coefficient.
-    failures, instances = [], 0
-    for q, r in itertools.product((2, 3, 4, 5, 7), range(1, 7)):
-        instances += 1
-        closed = cosets.parabolic_index_closed((1, 1), q, r)
-        expected = q ** (r - 1) * (q + 1)
-        if closed != expected:
-            failures.append(f"q={q} r={r}: {closed} != {expected}")
-    report.add("Borel index = q^(r-1) * (q+1)", failures, instances)
+    report.check(itertools.product((2, 3, 4, 5, 7), range(1, 7)), {
+        "Borel index = q^(r-1) * (q+1)": lambda q, r: _differ(
+            cosets.parabolic_index_closed((1, 1), q, r),
+            q ** (r - 1) * (q + 1),
+        ),
+    })
 
-    # Finer partitions give indices divisible by coarser ones.
-    failures, instances = [], 0
     refinement_pairs = [
         ((1, 1, 1), (2, 1)), ((1, 1, 1), (1, 2)),
         ((1, 1, 1, 1), (2, 2)), ((1, 1, 1, 1), (2, 1, 1)),
         ((1, 1, 1, 1), (1, 3)), ((2, 1, 1), (3, 1)), ((2, 1, 1), (2, 2)),
     ]
-    for (fine, coarse), q, m in itertools.product(
-        refinement_pairs, (2, 3, 5, 7), (1, 2, 3)
-    ):
-        instances += 1
-        fine_index = cosets.parabolic_index_closed(fine, q, m)
-        coarse_index = cosets.parabolic_index_closed(coarse, q, m)
-        if fine_index % coarse_index != 0:
-            failures.append(
-                f"{fine} vs {coarse} q={q} m={m}: {fine_index} % {coarse_index}"
-            )
-    report.add(
-        "index of a refinement is divisible by index of a coarsening",
-        failures, instances,
+    report.check(
+        (pair + (q, m) for pair, q, m in itertools.product(
+            refinement_pairs, (2, 3, 5, 7), (1, 2, 3)
+        )),
+        {"index of a refinement is divisible by index of a coarsening":
+            lambda fine, coarse, q, m: _differ(
+                cosets.parabolic_index_closed(fine, q, m)
+                % cosets.parabolic_index_closed(coarse, q, m),
+                0,
+            )},
     )
     return report
 
@@ -211,142 +208,109 @@ def run_cosets(budget: int | None = None) -> SuiteReport:
 def run_characters(budget: int | None = None) -> SuiteReport:
     """Unit-dual enumeration against the conductor class-count formulas."""
     report = SuiteReport("characters")
-
-    failures: list[str] = []
-    instances = 0
-    for p in (2, 3, 5, 7):
-        for r in range(0, 5):
-            try:
-                hist = chars.conductor_histogram(p, r, budget=budget)
-            except BudgetExceededError as exc:
-                report.note(f"histogram p={p} r={r} skipped: {exc}")
-                continue
-            instances += 1
-            expected = [chars.num_classes_exact(p, i) for i in range(r + 1)]
-            if hist != expected:
-                failures.append(f"p={p} r={r}: {hist} != {expected}")
-    report.add(
-        "enumerated conductor histogram equals class-count formula",
-        failures, instances,
-    )
-
-    failures, instances = [], 0
-    for p in (2, 3, 5, 7):
-        for r in range(1, 5):
-            try:
-                dual = chars.enumerate_unit_dual(p, r, budget=budget)
-            except BudgetExceededError as exc:
-                report.note(f"dual total p={p} r={r} skipped: {exc}")
-                continue
-            instances += 1
-            expected = (p - 1) * p ** (r - 1)
-            if len(dual) != expected:
-                failures.append(f"p={p} r={r}: {len(dual)} != {expected}")
-    report.add(
-        "unit dual size equals (p-1) * p^(r-1)", failures, instances
-    )
-
-    failures, instances = [], 0
-    for q, r in itertools.product(range(2, 10), range(1, 9)):
-        instances += 1
-        total = chars.num_classes_upto(q, r)
-        by_sum = sum(chars.num_classes_exact(q, i) for i in range(r + 1))
-        closed = (q - 1) * q ** (r - 1)
-        if not (total == by_sum == closed):
-            failures.append(f"q={q} r={r}: {total}, {by_sum}, {closed}")
-    report.add(
-        "class counts: running total equals (q-1) * q^(r-1)",
-        failures, instances,
-    )
+    report.check(itertools.product((2, 3, 5, 7), range(0, 5)), {
+        "enumerated conductor histogram equals class-count formula":
+            lambda p, r: _differ(
+                chars.conductor_histogram(p, r, budget=budget),
+                [chars.num_classes_exact(p, i) for i in range(r + 1)],
+            ),
+    })
+    report.check(itertools.product((2, 3, 5, 7), range(1, 5)), {
+        "unit dual size equals (p-1) * p^(r-1)": lambda p, r: _differ(
+            len(chars.enumerate_unit_dual(p, r, budget=budget)),
+            (p - 1) * p ** (r - 1),
+        ),
+    })
+    report.check(itertools.product(range(2, 10), range(1, 9)), {
+        "class counts: running total equals (q-1) * q^(r-1)":
+            lambda q, r: _differ(
+                chars.num_classes_upto(q, r),
+                sum(chars.num_classes_exact(q, i) for i in range(r + 1)),
+                (q - 1) * q ** (r - 1),
+            ),
+    })
     return report
 
 
-def _gl2_grid() -> list[tuple[int, int]]:
-    """The (q, s) grid shared by the supercuspidal identity checks."""
-    return [(q, s) for q in (2, 3, 4, 5, 7) for s in range(2, 9)]
+# The (q, s) grid shared by the supercuspidal identity checks.
+GL2_GRID = [(q, s) for q in (2, 3, 4, 5, 7) for s in range(2, 9)]
+
+
+def _twist_cases():
+    """(q, s, c_chi, m): the GL_2 grid by twist conductor and level."""
+    for (q, s), c_chi, m in itertools.product(GL2_GRID, range(7), range(9)):
+        yield q, s, c_chi, m
+
+
+def _minimal_level_dim(q: int, s: int) -> str | None:
+    """The supercuspidal dimension at its minimal level, as a literal."""
+    if s % 2 == 0:
+        m, expected = s // 2, (q - 1) * q ** (s // 2 - 1)
+    else:
+        m, expected = (s + 1) // 2, (q + 1) * (q - 1) * q ** (s // 2 - 1)
+    return _differ(gl2_dims.dim_supercuspidal_minimal(q, s, m), expected)
+
+
+def _nondecreasing(q: int, rep) -> str | None:
+    dims = [rep.dim(q, m) for m in range(0, 9)]
+    return dims != sorted(dims) and str(dims)
+
+
+def _vanishes_below_conductor(q: int, s: int, c_chi: int, m: int) -> str | None:
+    rep = gl2_dims.Supercuspidal(s, c_chi)
+    return _differ(rep.dim(q, m) > 0, rep.effective_conductor <= 2 * m)
+
+
+def _materialized_basis(q: int, s: int, c_psi: int, m: int) -> str | None:
+    counted = gl2_dims.kirillov_basis_count(q, s, c_psi, m)
+    materialized = gl2_dims.kirillov_basis(q, s, c_psi, m)
+    if len(set(materialized)) != len(materialized):
+        return "duplicates"
+    return _differ(counted, len(materialized))
 
 
 def run_supercuspidal(budget: int | None = None) -> SuiteReport:
     """Agreement of the three GL_2 dimension computations and their
     consequences (minimal-level values, twisting, monotonicity, vanishing)."""
     report = SuiteReport("supercuspidal")
-
-    failures: list[str] = []
-    instances = 0
-    for q, s in _gl2_grid():
-        for m in range(-(-s // 2), 9):
-            instances += 1
-            closed = gl2_dims.dim_supercuspidal_minimal(q, s, m)
-            lattice = gl2_dims.dim_supercuspidal_lattice(q, s, m)
-            basis = gl2_dims.kirillov_basis_count(q, s, 0, m)
-            if not (closed == lattice == basis):
-                failures.append(
-                    f"q={q} s={s} m={m}: {closed}, {lattice}, {basis}"
-                )
-    report.add(
-        "closed form = lattice sum = Kirillov basis count", failures, instances
+    report.check(
+        ((q, s, m) for q, s in GL2_GRID for m in range(-(-s // 2), 9)),
+        {"closed form = lattice sum = Kirillov basis count":
+            lambda q, s, m: _differ(
+                gl2_dims.dim_supercuspidal_minimal(q, s, m),
+                gl2_dims.dim_supercuspidal_lattice(q, s, m),
+                gl2_dims.kirillov_basis_count(q, s, 0, m),
+            )},
     )
 
-    # The interval count really is the size of the materialized basis.
-    failures, instances = [], 0
-    for q, s in itertools.product((2, 3), range(2, 6)):
-        for c_psi, m in itertools.product((0, 1), range(-(-s // 2), 5)):
-            instances += 1
-            counted = gl2_dims.kirillov_basis_count(q, s, c_psi, m)
-            materialized = gl2_dims.kirillov_basis(q, s, c_psi, m)
-            if counted != len(materialized):
-                failures.append(f"q={q} s={s} c_psi={c_psi} m={m}")
-            elif len(set(materialized)) != len(materialized):
-                failures.append(f"q={q} s={s} c_psi={c_psi} m={m}: duplicates")
-    report.add(
-        "materialized Kirillov basis matches its interval count",
-        failures, instances,
+    report.check(
+        ((q, s, c_psi, m)
+         for q, s in itertools.product((2, 3), range(2, 6))
+         for c_psi, m in itertools.product((0, 1), range(-(-s // 2), 5))),
+        {"materialized Kirillov basis matches its interval count":
+            _materialized_basis},
+    )
+    report.check(GL2_GRID, {
+        "dimension at the minimal level": _minimal_level_dim,
+    })
+    report.check(_twist_cases(), {
+        "twisting is invisible once the level passes the twisted conductor":
+            lambda q, s, c_chi, m: _differ(
+                gl2_dims.dim_supercuspidal(q, s, c_chi, m),
+                gl2_dims.dim_supercuspidal_minimal(q, s, m)
+                if gl2_dims.twisted_conductor_minimal(s, c_chi) <= 2 * m
+                else 0,
+            ),
+    })
+    report.check(
+        itertools.product(range(2, 8), range(0, 7), range(1, 7)),
+        {"principal series minus Steinberg twist is the trivial-quotient line":
+            lambda q, c, r: _differ(
+                gl2_dims.dim_principal_series(q, c, c, r),
+                gl2_dims.delta_leq(c, r) + gl2_dims.dim_steinberg_twist(q, c, r),
+            )},
     )
 
-    failures, instances = [], 0
-    for q, s in _gl2_grid():
-        instances += 1
-        if s % 2 == 0:
-            m = s // 2
-            expected = (q - 1) * q ** (s // 2 - 1)
-        else:
-            m = (s + 1) // 2
-            expected = (q + 1) * (q - 1) * q ** (s // 2 - 1)
-        got = gl2_dims.dim_supercuspidal_minimal(q, s, m)
-        if got != expected:
-            failures.append(f"q={q} s={s} m={m}: {got} != {expected}")
-    report.add("dimension at the minimal level", failures, instances)
-
-    failures, instances = [], 0
-    for q, s in _gl2_grid():
-        for c_chi, m in itertools.product(range(0, 7), range(0, 9)):
-            instances += 1
-            c = gl2_dims.twisted_conductor_minimal(s, c_chi)
-            got = gl2_dims.dim_supercuspidal(q, s, c_chi, m)
-            expected = (
-                gl2_dims.dim_supercuspidal_minimal(q, s, m) if c <= 2 * m else 0
-            )
-            if got != expected:
-                failures.append(f"q={q} s={s} c_chi={c_chi} m={m}: {got}")
-    report.add(
-        "twisting is invisible once the level passes the twisted conductor",
-        failures, instances,
-    )
-
-    failures, instances = [], 0
-    for q, c, r in itertools.product(range(2, 8), range(0, 7), range(1, 7)):
-        instances += 1
-        ps = gl2_dims.dim_principal_series(q, c, c, r)
-        st = gl2_dims.dim_steinberg_twist(q, c, r)
-        if ps != gl2_dims.delta_leq(c, r) + st:
-            failures.append(f"q={q} c={c} r={r}: {ps} vs {st}")
-    report.add(
-        "principal series minus Steinberg twist is the trivial-quotient line",
-        failures, instances,
-    )
-
-    failures, instances = [], 0
-    level_failures: list[str] = []
     reps: list[gl2_dims.GL2Representation] = [
         gl2_dims.Supercuspidal(s, c_chi)
         for s in range(2, 9) for c_chi in range(0, 7)
@@ -354,59 +318,40 @@ def run_supercuspidal(budget: int | None = None) -> SuiteReport:
     reps += [gl2_dims.PrincipalSeries(c1, c2)
              for c1 in range(0, 7) for c2 in range(0, 7)]
     reps += [gl2_dims.SteinbergTwist(c) for c in range(0, 7)]
-    for q in (2, 3, 4, 5, 7):
-        for rep in reps:
-            dims = [rep.dim(q, m) for m in range(0, 9)]
-            instances += 1
-            if any(a > b for a, b in zip(dims, dims[1:])):
-                failures.append(f"q={q} {rep}: {dims}")
-            least = rep.min_level()
-            if [d > 0 for d in dims] != [m >= least for m in range(0, 9)]:
-                level_failures.append(f"q={q} {rep}: {dims}, min_level {least}")
-    report.add("dimension is nondecreasing in the level", failures, instances)
-    report.add(
-        "positive dimension exactly when the level is >= min_level",
-        level_failures, instances * 9,
-    )
-
-    failures, instances = [], 0
-    for q, s in _gl2_grid():
-        for c_chi, m in itertools.product(range(0, 7), range(0, 9)):
-            instances += 1
-            rep = gl2_dims.Supercuspidal(s, c_chi)
-            positive = rep.dim(q, m) > 0
-            expected = rep.effective_conductor <= 2 * m
-            if positive != expected:
-                failures.append(f"q={q} s={s} c_chi={c_chi} m={m}")
-    report.add(
-        "positive dimension exactly when conductor <= 2 * level",
-        failures, instances,
-    )
-
-    failures, instances = [], 0
-    for p, r in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]:
-        try:
-            enumerated = cosets.parabolic_index_enumerated(
-                (1, 1), p, r, budget=budget
-            )
-        except BudgetExceededError as exc:
-            report.note(f"unramified PS oracle p={p} r={r} skipped: {exc}")
-            continue
-        instances += 1
-        ps = gl2_dims.dim_principal_series(p, 0, 0, r)
-        induced = representations.dim_induced_general((1, 1), p, r, (1, 1))
-        if not (ps == induced == enumerated):
-            failures.append(f"p={p} r={r}: {ps}, {induced}, {enumerated}")
-    report.add(
-        "unramified principal series dimension equals the coset count",
-        failures, instances,
+    qs = (2, 3, 4, 5, 7)
+    report.check(itertools.product(qs, reps), {
+        "dimension is nondecreasing in the level": _nondecreasing,
+    })
+    report.check(itertools.product(qs, reps, range(0, 9)), {
+        "positive dimension exactly when the level is >= min_level":
+            lambda q, rep, m: _differ(
+                rep.dim(q, m) > 0, m >= rep.min_level()
+            ),
+    })
+    report.check(_twist_cases(), {
+        "positive dimension exactly when conductor <= 2 * level":
+            _vanishes_below_conductor,
+    })
+    report.check(
+        [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)],
+        {"unramified principal series dimension equals the coset count":
+            lambda p, r: _differ(
+                cosets.parabolic_index_enumerated((1, 1), p, r, budget=budget),
+                gl2_dims.dim_principal_series(p, 0, 0, r),
+                representations.dim_induced_general((1, 1), p, r, (1, 1)),
+            )},
     )
     return report
 
 
 def _all_induced_reps(max_n: int, max_c: int):
     """Every ordered block decomposition with sizes summing to <= max_n and
-    block conductors in [0, max_c]."""
+    block conductors in [0, max_c]. The reps share their (immutable)
+    blocks, which makes the stream about twice as cheap to generate."""
+    blocks = {
+        (n, c): representations.SquareIntegrableBlock(n, c)
+        for n in range(1, max_n + 1) for c in range(0, max_c + 1)
+    }
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             for sizes in itertools.product(range(1, n + 1), repeat=k):
@@ -415,113 +360,110 @@ def _all_induced_reps(max_n: int, max_c: int):
                 for conductors in itertools.product(
                     range(0, max_c + 1), repeat=k
                 ):
-                    yield representations.GenericRepresentation.from_pairs(
-                        list(zip(sizes, conductors))
+                    yield representations.GenericRepresentation(
+                        tuple(blocks[pair] for pair in zip(sizes, conductors))
                     )
+
+
+def _with_min_level(reps):
+    """(rep, rep.min_level()) cases: the level that the grid checks test."""
+    for rep in reps:
+        yield rep, rep.min_level()
+
+
+def _least_level(rep, least: int) -> str | None:
+    """has_fixed_vector, which never reads min_level, turns true exactly at
+    min_level: compared at every level from 0 to max(6, min_level)."""
+    levels = range(max(6, least) + 1)
+    found = [representations.has_fixed_vector(rep, m) for m in levels]
+    return _differ(found, [m >= least for m in levels])
+
+
+def _in_window(rep, least: int, square_integrable=False) -> str | None:
+    """The conductor lies in the window of the rep's least level."""
+    window = representations.conductor_window(rep.n, least, square_integrable)
+    c = rep.conductor()
+    return not window.contains(c) and f"c={c} not in {window}"
+
+
+def _global_bounds_cases():
+    """(n, factorized N, literal (lower, upper) or None): one literal spot,
+    then every n <= 4 and N <= 10^4, factorizing each N once."""
+    yield 2, global_bounds.factorize(12), (6, 144)
+    for N in range(1, 10_001):
+        level = global_bounds.factorize(N)
+        for n in range(1, 5):
+            yield n, level, None
+
+
+def _bounds_hold(n: int, level, literal) -> str | None:
+    """N lies in its global bounds (equal to the upper one for n = 1), and
+    so does every product of each prime's low, middle and high local
+    exponent."""
+    N, bounds = level.N, level.conductor_bounds(n)
+    if literal is not None and (bounds.lower, bounds.upper) != literal:
+        return f"bounds {(bounds.lower, bounds.upper)} != {literal}"
+    if not (bounds.lower <= N <= bounds.upper):
+        return "N outside bounds"
+    if n == 1 and bounds.upper != N:
+        return f"upper {bounds.upper} != N"
+    choices = []
+    for p, e in level.factorization:
+        lo, hi = global_bounds.local_conductor_window(n, e)
+        choices.append([p**c for c in sorted({lo, (lo + hi) // 2, hi})])
+    for powers in itertools.product(*choices):
+        product = math.prod(powers)
+        if not (bounds.lower <= product <= bounds.upper):
+            return f"prime powers {powers}: {product}"
+    return None
 
 
 def run_windows(budget: int | None = None) -> SuiteReport:
     """Conductor/depth/level criteria for induced representations and the
     global conductor-bound consistency sweeps."""
     report = SuiteReport("windows")
-
-    # The two single-block fixed-vector criteria agree.
-    failures: list[str] = []
-    instances = 0
-    for n, c, m in itertools.product(range(1, 6), range(0, 21), range(1, 7)):
-        instances += 1
-        by_conductor = representations.has_fixed_vector_esi(n, c, m)
-        by_depth = representations.has_fixed_vector_depth(
-            representations.depth_esi(n, c), m
-        )
-        if by_conductor != by_depth:
-            failures.append(f"n={n} c={c} m={m}")
-    report.add(
-        "conductor criterion agrees with depth criterion", failures, instances
+    report.check(
+        itertools.product(range(1, 6), range(0, 21), range(1, 7)),
+        {"conductor criterion agrees with depth criterion":
+            lambda n, c, m: _differ(
+                representations.has_fixed_vector_esi(n, c, m),
+                representations.has_fixed_vector_depth(
+                    representations.depth_esi(n, c), m
+                ),
+            )},
     )
+    report.check(((c,) for c in range(2, 21)), {
+        "GL_2 supercuspidal depth matches the general formula":
+            lambda c: _differ(
+                representations.depth_esi(2, c),
+                representations.depth_supercuspidal_gl2(c),
+            ),
+    })
 
-    failures, instances = [], 0
-    for c in range(2, 21):
-        instances += 1
-        if representations.depth_esi(2, c) != (
-            representations.depth_supercuspidal_gl2(c)
-        ):
-            failures.append(f"c={c}")
-    report.add(
-        "GL_2 supercuspidal depth matches the general formula",
-        failures, instances,
-    )
-
-    min_level_failures: list[str] = []
-    esi_failures: list[str] = []
-    generic_failures: list[str] = []
-    instances = single_block_instances = 0
+    # Both grid checks share one pass over the grid; the single-block window
+    # check takes its own 36 (n, c) cases and is reported between them.
     with warnings.catch_warnings():
         warnings.simplefilter(
             "ignore", representations.ImplausibleConductorWarning
         )
-        for rep in _all_induced_reps(4, 8):
-            instances += 1
-            pairs = [(b.n, b.conductor) for b in rep.blocks]
-            ml = rep.min_level()
-            if not representations.has_fixed_vector(rep, ml):
-                min_level_failures.append(f"{pairs}: no vector at {ml}")
-            if ml >= 1 and representations.has_fixed_vector(rep, ml - 1):
-                min_level_failures.append(f"{pairs}: vector below {ml}")
-            c = rep.conductor()
-            if len(rep.blocks) == 1:
-                single_block_instances += 1
-                window = representations.conductor_window(
-                    rep.n, ml, square_integrable=True
-                )
-                if not window.contains(c):
-                    esi_failures.append(f"{pairs}: c={c} not in {window}")
-            window = representations.conductor_window(rep.n, ml)
-            if not window.contains(c):
-                generic_failures.append(f"{pairs}: c={c} not in {window}")
-    report.add(
-        "min_level is the least level with a fixed vector",
-        min_level_failures, instances,
-    )
-    report.add(
-        "single-block conductors lie in the square-integrable window",
-        esi_failures, single_block_instances,
-    )
-    report.add(
-        "conductors lie in the generic window [m, mn]",
-        generic_failures, instances,
-    )
+        report.check(_with_min_level(_all_induced_reps(4, 8)), {
+            "min_level is the least level with a fixed vector": _least_level,
+            "conductors lie in the generic window [m, mn]": _in_window,
+        })
+        generic = report.checks.pop()
+        report.check(_with_min_level(
+            representations.GenericRepresentation.from_pairs([(n, c)])
+            for n in range(1, 5) for c in range(0, 9)
+        ), {
+            "single-block conductors lie in the square-integrable window":
+                lambda rep, least: _in_window(rep, least, True),
+        })
+        report.checks.append(generic)
 
-    # Global bound formulas and the per-prime window consistency sweep.
-    failures, instances = [], 0
-    spot = global_bounds.conductor_bounds(2, 12)
-    instances += 1
-    if (spot.lower, spot.upper) != (6, 144):
-        failures.append(f"(n=2, N=12): {(spot.lower, spot.upper)}")
-    for N in range(1, 10_001):
-        level = global_bounds.factorize(N)
-        for n in range(1, 5):
-            bounds = level.conductor_bounds(n)
-            instances += 1
-            if not (bounds.lower <= N <= bounds.upper):
-                failures.append(f"(n={n}, N={N}): N outside bounds")
-            if n == 1 and bounds.upper != N:
-                failures.append(f"(n=1, N={N}): upper {bounds.upper} != N")
-            # Each prime's distinct exponent choices, as prime powers.
-            choices = []
-            for p, e in level.factorization:
-                lo, hi = global_bounds.local_conductor_window(n, e)
-                choices.append([p**c for c in sorted({lo, (lo + hi) // 2, hi})])
-            for powers in itertools.product(*choices):
-                product = math.prod(powers)
-                if not (bounds.lower <= product <= bounds.upper):
-                    failures.append(
-                        f"(n={n}, N={N}) prime powers {powers}: {product}"
-                    )
-    report.add(
-        "local windows compose to products inside the global bounds",
-        failures, instances,
-    )
+    report.check(_global_bounds_cases(), {
+        "local windows compose to products inside the global bounds":
+            _bounds_hold,
+    })
     return report
 
 

@@ -308,3 +308,14 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout)["dimension"] == 4
+
+
+def test_importing_cli_loads_neither_verify_nor_sympy():
+    code = (
+        "import sys, padic_fixvec.cli;"
+        " print(sorted({'padic_fixvec.verify', 'sympy'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

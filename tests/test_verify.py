@@ -1,7 +1,8 @@
-from padic_fixvec.budget import ENV_BUDGET
+from padic_fixvec.budget import ENV_BUDGET, BudgetExceededError
 from padic_fixvec.verify import (
     MAX_FAILURE_DETAILS,
     SUITES,
+    Check,
     SuiteReport,
     run_all,
     run_characters,
@@ -29,6 +30,8 @@ def test_cosets_suite_passes_under_tiny_budget_with_notes():
     assert report.passed
     assert report.notes
     assert all("budget" in note for note in report.notes)
+    names = [check.name for check in report.checks]
+    assert all(note.split(": ", 1)[0] in names for note in report.notes)
 
 
 def test_cosets_suite_runs_every_index_instance_at_default_budget(monkeypatch):
@@ -64,6 +67,29 @@ def test_suite_report_bookkeeping():
 
     report.note("heads-up")
     assert report.notes == ["heads-up"]
+
+    def oracle(k):
+        if k > 8:
+            raise BudgetExceededError(k, 8, f"oracle at k={k}")
+        return k == 5 and "fails at five"
+
+    runner = SuiteReport("runner")
+    runner.check([(1,), (9,)], {"counted": oracle})
+    assert runner.checks == [Check("counted", True, "1 instances")]
+    (skip,) = runner.notes
+    assert skip.startswith("counted: (9,) skipped") and "budget" in skip
+
+    runner.check([(1,), (5,)], {"named": oracle})
+    assert runner.checks[-1] == Check("named", False, "(5,): fails at five")
+
+    runner.check(((k,) for k in range(4)), {
+        "first": oracle,
+        "second": lambda k: k > 3 and "too big",
+    })
+    assert runner.checks[-2:] == [
+        Check("first", True, "4 instances"),
+        Check("second", True, "4 instances"),
+    ]
 
 
 def test_run_all_fails_when_a_check_runs_no_instance():
