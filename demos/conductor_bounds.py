@@ -5,9 +5,9 @@ minimal principal congruence level imposes.
 
 from padic_fixvec import (
     GenericRepresentation,
+    GlobalLevel,
     conductor_window,
     depth_esi,
-    factorize,
     has_fixed_vector,
     local_conductor_window,
 )
@@ -53,7 +53,7 @@ def main() -> None:
     print("[max(rad N, N/rad N), N^n], refined prime by prime:\n")
     n = 2
     for N in (12, 360, 1024):
-        level = factorize(N)
+        level = GlobalLevel(N)
         bounds = level.conductor_bounds(n)
         windows = "; ".join(
             f"p={p}: exponent in {local_conductor_window(n, e)}"

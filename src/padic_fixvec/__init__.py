@@ -19,7 +19,6 @@ from .characters import (
     num_classes_upto,
 )
 from .cosets import (
-    index_m0,
     parabolic_index_closed,
     parabolic_index_enumerated,
 )
@@ -37,24 +36,18 @@ from .gl2_dims import (
     PrincipalSeries,
     SteinbergTwist,
     Supercuspidal,
-    delta_leq,
-    dim_principal_series,
-    dim_steinberg_twist,
-    dim_supercuspidal,
     dim_supercuspidal_lattice,
     dim_supercuspidal_minimal,
     kirillov_basis,
     kirillov_basis_count,
-    kirillov_support_interval,
+    kirillov_groups,
     twisted_conductor_minimal,
 )
 from .global_bounds import (
     BoundsResult,
     GlobalLevel,
-    conductor_bounds,
     factorize,
     local_conductor_window,
-    radical,
 )
 from .representations import (
     ConductorWindow,
@@ -91,16 +84,11 @@ __all__ = [
     "SquareIntegrableBlock",
     "SteinbergTwist",
     "Supercuspidal",
-    "conductor_bounds",
     "conductor_histogram",
     "conductor_window",
-    "delta_leq",
     "depth_esi",
     "depth_supercuspidal_gl2",
     "dim_induced_general",
-    "dim_principal_series",
-    "dim_steinberg_twist",
-    "dim_supercuspidal",
     "dim_supercuspidal_lattice",
     "dim_supercuspidal_minimal",
     "enumerate_gl",
@@ -110,11 +98,10 @@ __all__ = [
     "has_fixed_vector",
     "has_fixed_vector_depth",
     "has_fixed_vector_esi",
-    "index_m0",
     "is_invertible",
     "kirillov_basis",
     "kirillov_basis_count",
-    "kirillov_support_interval",
+    "kirillov_groups",
     "local_conductor_window",
     "num_classes_exact",
     "num_classes_upto",
@@ -122,6 +109,5 @@ __all__ = [
     "parabolic_index_enumerated",
     "parabolic_order",
     "parse_budget",
-    "radical",
     "twisted_conductor_minimal",
 ]

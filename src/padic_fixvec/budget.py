@@ -2,9 +2,10 @@
 
 Every brute-force oracle in this package is gated by an explicit candidate
 budget so that infeasible instances fail loudly instead of running for hours.
-The matrix-enumeration budget defaults to 10**8 candidates and can be
-overridden globally through the PADIC_FIXVEC_BUDGET environment variable or
-per call through a ``budget=`` argument.
+Each oracle resolves its budget the same way, in resolve_budget: a
+``budget=`` argument, else the PADIC_FIXVEC_BUDGET environment variable,
+else the oracle's default, 10**8 matrix candidates for the matrix and coset
+enumerations and 10**6 characters for the unit dual.
 """
 
 import os
@@ -62,25 +63,12 @@ def parse_budget(text: str) -> int:
     return value
 
 
-def _explicit(budget: int) -> int:
-    """An explicit budget argument, which must be an int >= 1."""
+def resolve_budget(budget: int | None, default: int) -> int:
+    """An oracle's budget: the explicit argument, which must be an int >= 1,
+    else the PADIC_FIXVEC_BUDGET environment variable, else its default."""
+    if budget is None:
+        env = os.environ.get(ENV_BUDGET)
+        return parse_budget(env) if env else default
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     return budget
-
-
-def candidate_budget(budget: int | None = None) -> int:
-    """Resolve the matrix-candidate budget: explicit arg, else env var, else default."""
-    if budget is not None:
-        return _explicit(budget)
-    env = os.environ.get(ENV_BUDGET)
-    if env:
-        return parse_budget(env)
-    return DEFAULT_CANDIDATE_BUDGET
-
-
-def unit_dual_budget(budget: int | None = None) -> int:
-    """Resolve the unit-group dual budget (cap on p**r). Default 10**6."""
-    if budget is not None:
-        return _explicit(budget)
-    return DEFAULT_UNIT_DUAL_BUDGET

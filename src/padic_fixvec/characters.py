@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
-from .budget import BudgetExceededError, unit_dual_budget
+from .budget import (
+    DEFAULT_UNIT_DUAL_BUDGET, BudgetExceededError, resolve_budget,
+)
 from .finite_ring import is_prime
 
 
@@ -137,7 +139,7 @@ def enumerate_unit_dual(
         raise ValueError(f"p must be prime, got {p}")
     if r < 0:
         raise ValueError(f"level must be >= 0, got {r}")
-    limit = unit_dual_budget(budget)
+    limit = resolve_budget(budget, DEFAULT_UNIT_DUAL_BUDGET)
     if p**r > limit:
         raise BudgetExceededError(p**r, limit, f"dual of (Z/{p}^{r})^x")
 

@@ -35,16 +35,14 @@ from typing import Callable, NamedTuple, Union
 
 from .budget import parse_budget
 from .finite_ring import LocalFieldParams, is_prime
-from .characters import num_classes_exact
 from .gl2_dims import (
     GL2Representation,
     PrincipalSeries,
     SteinbergTwist,
     Supercuspidal,
-    kirillov_basis_count,
-    kirillov_support_interval,
+    kirillov_groups,
 )
-from .global_bounds import factorize, local_conductor_window
+from .global_bounds import GlobalLevel, local_conductor_window
 from .representations import GenericRepresentation
 
 EXIT_OK = 0
@@ -253,7 +251,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_global_bounds(args) -> int:
-    level = factorize(args.level_N)
+    level = GlobalLevel(args.level_N)
     bounds = level.conductor_bounds(args.n)
     windows = [
         {"p": p, "e": e, **dict(zip(("lo", "hi"),
@@ -298,20 +296,12 @@ def cmd_kirillov_basis(args) -> int:
             " individual classes are not determined by conductors alone"
         )
     q, r = parsed.field.q, args.level
-    dimension = kirillov_basis_count(q, rep.s, args.c_psi, r)
-    groups = []
-    for i in range(max(r + 1, 0)):
-        lo, hi = kirillov_support_interval(rep.s, i, args.c_psi, r)
-        classes = num_classes_exact(q, i)
-        if lo > hi or classes == 0:
-            continue
-        groups.append({
-            "twist_conductor": i,
-            "num_classes": classes,
-            "support_min": lo,
-            "support_max": hi,
-            "count": classes * (hi - lo + 1),
-        })
+    groups = [
+        {"twist_conductor": i, "num_classes": classes, "support_min": lo,
+         "support_max": hi, "count": classes * (hi - lo + 1)}
+        for i, classes, lo, hi in kirillov_groups(q, rep.s, args.c_psi, r)
+    ]
+    dimension = sum(g["count"] for g in groups)
     payload = {
         "c_psi": args.c_psi,
         "dimension": dimension,

@@ -12,15 +12,10 @@ module (Z_m)^s", 1986); it uses no order formula.
 from itertools import product
 from typing import Sequence
 
-from .budget import BudgetExceededError, candidate_budget
+from .budget import (
+    DEFAULT_CANDIDATE_BUDGET, BudgetExceededError, resolve_budget,
+)
 from .finite_ring import Rows, _block_starts, gl_order, is_prime, parabolic_order
-
-
-def index_m0(partition: Sequence[int]) -> int:
-    """At level 0 the full integral group absorbs everything: one double coset."""
-    if len(partition) == 0:
-        raise ValueError("partition must be nonempty")
-    return 1
 
 
 def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
@@ -94,7 +89,7 @@ def parabolic_index_enumerated(
         raise ValueError(f"p must be prime, got {p}")
     n = sum(partition)
     tail = n - partition[0]
-    limit = candidate_budget(budget)
+    limit = resolve_budget(budget, DEFAULT_CANDIDATE_BUDGET)
     required = p ** (m * n * tail)
     if required > limit:
         raise BudgetExceededError(

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .budget import BudgetExceededError, candidate_budget
+from .budget import (
+    DEFAULT_CANDIDATE_BUDGET, BudgetExceededError, resolve_budget,
+)
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -154,32 +156,13 @@ def _block_starts(partition: Sequence[int]) -> list[int]:
     return starts
 
 
-def in_parabolic(a: MatrixModPM, partition: Sequence[int]) -> bool:
-    """True iff every entry strictly below the block diagonal is 0 in Z/p^m."""
-    if sum(partition) != a.n:
-        raise ValueError(
-            f"partition {tuple(partition)} does not sum to matrix size {a.n}"
-        )
-    return _rows_in_parabolic(a.rows, partition)
-
-
-def _rows_in_parabolic(rows: Rows, partition: Sequence[int]) -> bool:
-    starts = _block_starts(partition)
-    for bi, start in enumerate(starts):
-        for i in range(start, start + partition[bi]):
-            for j in range(start):
-                if rows[i][j] != 0:
-                    return False
-    return True
-
-
 def _enumerate_gl_rows(n: int, p: int, m: int, budget: int | None = None) -> Iterator[Rows]:
     """Raw row-tuples of the invertible matrices, in lexicographic order."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    limit = candidate_budget(budget)
+    limit = resolve_budget(budget, DEFAULT_CANDIDATE_BUDGET)
     required = p ** (m * n * n)
     if required > limit:
         raise BudgetExceededError(required, limit, f"enumerating GL_{n}(Z/{p}^{m})")

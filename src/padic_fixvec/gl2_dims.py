@@ -1,20 +1,21 @@
 """Fixed-vector dimensions for irreducible representations of GL_2.
 
-Principal series and twisted Steinberg dimensions are single closed forms.
-Supercuspidal dimensions are computed three independent ways that must
-agree: the minimal-conductor closed form, the twist-class lattice sum, and
-a literal enumeration of the Whittaker/Kirillov basis functions supported
-on single valuation shells. Non-minimal supercuspidals reduce to the
-minimal member of their twist orbit, whose conductor interacts with a
-twisting character through c = max(s, 2*c_chi).
-
-Each of the three representation types answers conductor(), min_level(),
+The entry points are the three representation types PrincipalSeries,
+SteinbergTwist and Supercuspidal. Each answers conductor(), min_level(),
 depth() and dim(q, m), as GenericRepresentation does, and raises
 ValueError where it has no answer.
+
+Principal series and twisted Steinberg dimensions are single closed forms
+in their dim methods. Supercuspidal dimensions are computed three
+independent ways that must agree: the minimal-conductor closed form, the
+twist-class lattice sum, and a literal enumeration of the Whittaker/
+Kirillov basis functions supported on single valuation shells. Non-minimal
+supercuspidals reduce to the minimal member of their twist orbit, whose
+conductor interacts with a twisting character through c = max(s, 2*c_chi).
 """
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .characters import QuasiCharacterClass, num_classes_exact
 from .representations import DepthValue, depth_supercuspidal_gl2
@@ -49,12 +50,14 @@ class PrincipalSeries:
         raise ValueError(_NO_DEPTH)
 
     def dim(self, q: int, m: int) -> int:
-        """Level 0 counts the spherical vector: 1 when unramified, else 0."""
+        """At level m >= 1, q**(m-1) * (q+1) when both twist conductors are
+        <= m, else 0. Level 0 counts the spherical vector: 1 when
+        unramified, else 0."""
         if m < 0:
             raise ValueError(f"level must be >= 0, got {m}")
-        if m == 0:
-            return delta_leq(self.c1, 0) * delta_leq(self.c2, 0)
-        return dim_principal_series(q, self.c1, self.c2, m)
+        if max(self.c1, self.c2) > m:
+            return 0
+        return q ** (m - 1) * (q + 1) if m else 1
 
 
 @dataclass(frozen=True)
@@ -82,11 +85,13 @@ class SteinbergTwist:
         raise ValueError(_NO_DEPTH)
 
     def dim(self, q: int, m: int) -> int:
+        """At level m >= 1, q**m + q**(m-1) - 1 when the twist conductor is
+        <= m, else 0; 0 at level 0."""
         if m < 0:
             raise ValueError(f"level must be >= 0, got {m}")
-        if m == 0:
+        if m == 0 or self.c_chi > m:
             return 0
-        return dim_steinberg_twist(q, self.c_chi, m)
+        return q**m + q ** (m - 1) - 1
 
 
 @dataclass(frozen=True)
@@ -122,31 +127,17 @@ class Supercuspidal:
         return depth_supercuspidal_gl2(self.effective_conductor)
 
     def dim(self, q: int, m: int) -> int:
-        return dim_supercuspidal(q, self.s, self.c_chi, m)
+        """0 while the effective conductor max(s, 2*c_chi) exceeds 2m; from
+        there on the twist is invisible and the dimension is the minimal
+        one."""
+        if m < 0:
+            raise ValueError(f"level must be >= 0, got {m}")
+        if self.effective_conductor > 2 * m:
+            return 0
+        return dim_supercuspidal_minimal(q, self.s, m)
 
 
 GL2Representation = Union[PrincipalSeries, SteinbergTwist, Supercuspidal]
-
-
-def delta_leq(cond: int, r: int) -> int:
-    """Indicator of cond <= r."""
-    return 1 if cond <= r else 0
-
-
-def dim_principal_series(q: int, c1: int, c2: int, r: int) -> int:
-    """dim of the level-r fixed space of an irreducible principal series:
-    q**(r-1) * (q+1) when both twist conductors are <= r, else 0."""
-    if r < 1:
-        raise ValueError(f"level must be >= 1, got {r}")
-    return q ** (r - 1) * (q + 1) * delta_leq(c1, r) * delta_leq(c2, r)
-
-
-def dim_steinberg_twist(q: int, c_chi: int, r: int) -> int:
-    """dim of the level-r fixed space of a twisted Steinberg:
-    q**r + q**(r-1) - 1 when the twist conductor is <= r, else 0."""
-    if r < 1:
-        raise ValueError(f"level must be >= 1, got {r}")
-    return (q**r + q ** (r - 1) - 1) * delta_leq(c_chi, r)
 
 
 def twisted_conductor_minimal(s: int, c_chi: int) -> int:
@@ -210,18 +201,6 @@ def dim_supercuspidal_lattice(q: int, s: int, r: int) -> int:
     return total
 
 
-def dim_supercuspidal(q: int, s: int, c_chi: int, m: int) -> int:
-    """Fixed-space dimension of a possibly non-minimal supercuspidal. The
-    effective conductor is max(s, 2*c_chi); above level threshold the twist
-    is invisible and the dimension equals the minimal one."""
-    c = twisted_conductor_minimal(s, c_chi)
-    if m < 0:
-        raise ValueError(f"level must be >= 0, got {m}")
-    if c > 2 * m:
-        return 0
-    return dim_supercuspidal_minimal(q, s, m)
-
-
 @dataclass(frozen=True)
 class KirillovBasisElement:
     """A basis function of the fixed space in the Kirillov realization: the
@@ -231,20 +210,27 @@ class KirillovBasisElement:
     m_support: int
 
 
-def _check_kirillov_args(s: int, c_psi: int, r: int) -> None:
+def kirillov_groups(
+    q: int, s: int, c_psi: int, r: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """The level-r fixed Kirillov functions of a minimal supercuspidal of
+    conductor s, for an additive character of conductor c_psi, grouped by
+    twist class conductor i <= r.
+
+    Yields (i, class count, support min, support max) for each nonempty
+    group. Every class of conductor i contributes one function per integer
+    support order in [c(twist) + c_psi - r, c_psi + r]. Requires
+    r >= -c_psi, checked when iteration starts.
+    """
     if s < 2:
         raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
     if r < -c_psi:
         raise ValueError(f"need level r >= -c_psi, got r={r}, c_psi={c_psi}")
-
-
-def kirillov_support_interval(
-    s: int, i: int, c_psi: int, r: int
-) -> tuple[int, int]:
-    """Inclusive range of support orders for the level-r fixed Kirillov
-    functions transforming by a twist class of conductor i:
-    [c(twist) + c_psi - r, c_psi + r]. Empty when the bounds cross."""
-    return (twisted_conductor_minimal(s, i) + c_psi - r, c_psi + r)
+    for i in range(max(r + 1, 0)):
+        lo, hi = twisted_conductor_minimal(s, i) + c_psi - r, c_psi + r
+        classes = num_classes_exact(q, i)
+        if lo <= hi and classes:
+            yield i, classes, lo, hi
 
 
 def kirillov_basis(
@@ -252,33 +238,23 @@ def kirillov_basis(
 ) -> list[KirillovBasisElement]:
     """Enumerate the Kirillov-model basis of the level-r fixed space of a
     minimal supercuspidal of conductor s, for an additive character of
-    conductor c_psi.
-
-    One element per twist class of conductor i <= r and per integer support
-    order in the class's support interval. Requires r >= -c_psi. For
-    c_psi = 0 the count equals dim_supercuspidal_lattice(q, s, r).
+    conductor c_psi: one element per class and support order of each
+    kirillov_groups group. For c_psi = 0 the count equals
+    dim_supercuspidal_lattice(q, s, r).
     """
-    _check_kirillov_args(s, c_psi, r)
-    basis: list[KirillovBasisElement] = []
-    for i in range(max(r + 1, 0)):
-        lo, hi = kirillov_support_interval(s, i, c_psi, r)
-        if lo > hi:
-            continue
-        for class_index in range(num_classes_exact(q, i)):
-            lam = QuasiCharacterClass(i, class_index)
-            for m in range(lo, hi + 1):
-                basis.append(KirillovBasisElement(lam, m))
-    return basis
+    return [
+        KirillovBasisElement(QuasiCharacterClass(i, class_index), m)
+        for i, classes, lo, hi in kirillov_groups(q, s, c_psi, r)
+        for class_index in range(classes)
+        for m in range(lo, hi + 1)
+    ]
 
 
 def kirillov_basis_count(q: int, s: int, c_psi: int, r: int) -> int:
     """Size of kirillov_basis(q, s, c_psi, r) without materializing it:
     classes of a common conductor share their support interval, so each
-    conductor contributes class count times interval length."""
-    _check_kirillov_args(s, c_psi, r)
-    total = 0
-    for i in range(max(r + 1, 0)):
-        lo, hi = kirillov_support_interval(s, i, c_psi, r)
-        if lo <= hi:
-            total += num_classes_exact(q, i) * (hi - lo + 1)
-    return total
+    group contributes class count times interval length."""
+    return sum(
+        classes * (hi - lo + 1)
+        for _, classes, lo, hi in kirillov_groups(q, s, c_psi, r)
+    )

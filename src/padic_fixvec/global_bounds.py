@@ -3,46 +3,26 @@
 A representation with fixed vectors at principal congruence level N (and at
 no proper divisor of N) has conductor bounded below by max(rad(N), N/rad(N))
 and above by N**n, the product over p | N of the local windows
-[max(e_p - 1, 1), e_p * n]. Everything here is arithmetic over the ground
-field of rational numbers; number-field generality is out of scope.
+[max(e_p - 1, 1), e_p * n]. The entry point is GlobalLevel(N): its
+radical and its conductor_bounds(n). Everything here is arithmetic over the
+ground field of rational numbers; number-field generality is out of scope.
 """
 
-from dataclasses import dataclass
-
-from .finite_ring import is_prime
+from dataclasses import dataclass, field
 
 MAX_N = 10**18
 
 
 @dataclass(frozen=True)
 class GlobalLevel:
-    """A positive integer level with its prime factorization, stored as
-    (prime, exponent) pairs with primes strictly increasing."""
+    """A level 1 <= N <= 10**18 with its prime factorization from
+    factorize(N): (prime, exponent) pairs, primes strictly increasing."""
 
     N: int
-    factorization: tuple[tuple[int, int], ...]
+    factorization: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"level must be >= 1, got {self.N}")
-        object.__setattr__(self, "factorization", tuple(
-            (int(p), int(e)) for p, e in self.factorization
-        ))
-        product = 1
-        last_p = 1
-        for p, e in self.factorization:
-            if p <= last_p:
-                raise ValueError("primes must be strictly increasing")
-            if e < 1:
-                raise ValueError(f"exponent of {p} must be >= 1, got {e}")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            product *= p**e
-            last_p = p
-        if product != self.N:
-            raise ValueError(
-                f"factorization multiplies to {product}, not {self.N}"
-            )
+        object.__setattr__(self, "factorization", factorize(self.N))
 
     @property
     def radical(self) -> int:
@@ -75,8 +55,9 @@ class BoundsResult:
             )
 
 
-def factorize(N: int) -> GlobalLevel:
-    """Complete prime factorization of 1 <= N <= 10**18.
+def factorize(N: int) -> tuple[tuple[int, int], ...]:
+    """Complete prime factorization of 1 <= N <= 10**18, as (prime,
+    exponent) pairs sorted by prime; () for N = 1.
 
     sympy is imported here, not at module level, so importing this module
     stays cheap.
@@ -85,19 +66,7 @@ def factorize(N: int) -> GlobalLevel:
         raise ValueError(f"level must be in [1, 10^18], got {N}")
     from sympy import factorint
 
-    pairs = tuple(sorted((p, e) for p, e in factorint(N).items()))
-    return GlobalLevel(N, pairs)
-
-
-def radical(N: int) -> int:
-    """Product of the distinct primes dividing N (1 when N = 1)."""
-    return factorize(N).radical
-
-
-def conductor_bounds(n: int, N: int) -> BoundsResult:
-    """Conductor range for a group size n and minimal level N; see
-    GlobalLevel.conductor_bounds."""
-    return factorize(N).conductor_bounds(n)
+    return tuple(sorted(factorint(N).items()))
 
 
 def local_conductor_window(n: int, e_p: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cosets import index_m0, parabolic_index_closed
+from .cosets import parabolic_index_closed
 
 # Depth values are exact nonnegative rationals, stored in lowest terms.
 DepthValue = Fraction
@@ -114,17 +114,19 @@ def dim_induced_general(
     (number of double cosets) * (product of the block fixed-space dims).
 
     The coset count is the closed-form parabolic index for m >= 1 and 1 at
-    level 0. Block dimensions are the caller's data.
+    level 0, where the full integral group absorbs everything. Block
+    dimensions are the caller's data.
     """
     partition = tuple(partition)
+    if not partition:
+        raise ValueError("partition must be nonempty")
     if len(block_dims) != len(partition):
         raise ValueError(
             f"{len(block_dims)} block dimensions for {len(partition)} blocks"
         )
     if m < 0:
         raise ValueError(f"level must be >= 0, got {m}")
-    index = index_m0(partition) if m == 0 else parabolic_index_closed(partition, q, m)
-    dim = index
+    dim = 1 if m == 0 else parabolic_index_closed(partition, q, m)
     for d in block_dims:
         dim *= d
     return dim

@@ -296,7 +296,7 @@ def run_supercuspidal(budget: int | None = None) -> SuiteReport:
     report.check(_twist_cases(), {
         "twisting is invisible once the level passes the twisted conductor":
             lambda q, s, c_chi, m: _differ(
-                gl2_dims.dim_supercuspidal(q, s, c_chi, m),
+                gl2_dims.Supercuspidal(s, c_chi).dim(q, m),
                 gl2_dims.dim_supercuspidal_minimal(q, s, m)
                 if gl2_dims.twisted_conductor_minimal(s, c_chi) <= 2 * m
                 else 0,
@@ -306,8 +306,8 @@ def run_supercuspidal(budget: int | None = None) -> SuiteReport:
         itertools.product(range(2, 8), range(0, 7), range(1, 7)),
         {"principal series minus Steinberg twist is the trivial-quotient line":
             lambda q, c, r: _differ(
-                gl2_dims.dim_principal_series(q, c, c, r),
-                gl2_dims.delta_leq(c, r) + gl2_dims.dim_steinberg_twist(q, c, r),
+                gl2_dims.PrincipalSeries(c, c).dim(q, r),
+                (c <= r) + gl2_dims.SteinbergTwist(c).dim(q, r),
             )},
     )
 
@@ -337,7 +337,7 @@ def run_supercuspidal(budget: int | None = None) -> SuiteReport:
         {"unramified principal series dimension equals the coset count":
             lambda p, r: _differ(
                 cosets.parabolic_index_enumerated((1, 1), p, r, budget=budget),
-                gl2_dims.dim_principal_series(p, 0, 0, r),
+                gl2_dims.PrincipalSeries(0, 0).dim(p, r),
                 representations.dim_induced_general((1, 1), p, r, (1, 1)),
             )},
     )
@@ -387,11 +387,11 @@ def _in_window(rep, least: int, square_integrable=False) -> str | None:
 
 
 def _global_bounds_cases():
-    """(n, factorized N, literal (lower, upper) or None): one literal spot,
+    """(n, GlobalLevel(N), literal (lower, upper) or None): one literal spot,
     then every n <= 4 and N <= 10^4, factorizing each N once."""
-    yield 2, global_bounds.factorize(12), (6, 144)
+    yield 2, global_bounds.GlobalLevel(12), (6, 144)
     for N in range(1, 10_001):
-        level = global_bounds.factorize(N)
+        level = global_bounds.GlobalLevel(N)
         for n in range(1, 5):
             yield n, level, None
 

@@ -1,32 +1,22 @@
 """Acceptance gate: eight oracle-backed criteria, one test each.
 
 Each criterion is a view over named checks of the verify suites, which hold
-its only definition. A test runs its suite once (shared through a cache),
-prints the verdict line
+its only definition. A test reads its suite's default-budget report from
+the session cache in conftest.py, where each suite runs once, and prints
+the verdict line
 
     ACCEPTANCE <k> <name>: PASS|FAIL (<elapsed>s, <suite> suite)
 
 then one line per check it reads, with that check's instance count, and
 asserts that those checks passed and that the suite recorded no note. A plain
 ``pytest -s tests/test_acceptance.py`` doubles as a readable report.
-Criteria with a stated runtime budget also assert the suite's elapsed time.
+Criteria with a stated runtime budget also assert the suite's elapsed time,
+measured when the cache ran it.
 """
 
-import functools
-import time
 
-from padic_fixvec import verify
-
-
-@functools.cache
-def _run(suite):
-    started = time.perf_counter()
-    report = verify.SUITES[suite]()
-    return report, time.perf_counter() - started
-
-
-def _accept(num, name, suite, check_names, limit=None):
-    report, elapsed = _run(suite)
+def _accept(default_report, num, name, suite, check_names, limit=None):
+    report, elapsed = default_report(suite)
     checks = [check for check in report.checks if check.name in check_names]
     over_time = limit is not None and elapsed >= limit
     passed = (len(checks) == len(check_names) and not report.notes
@@ -44,34 +34,37 @@ def _accept(num, name, suite, check_names, limit=None):
     assert not over_time, f"runtime {elapsed:.2f}s exceeds {limit:.0f}s budget"
 
 
-def test_01_borel_coset_coefficient():
-    _accept(1, "borel coset coefficient", "cosets", [
+def test_01_borel_coset_coefficient(default_report):
+    _accept(default_report, 1, "borel coset coefficient", "cosets", [
         "parabolic_index_closed equals parabolic_index_enumerated",
         "Borel index = q^(r-1) * (q+1)",
     ], limit=60)
 
 
-def test_02_character_class_counts():
-    _accept(2, "character class counts", "characters", [
+def test_02_character_class_counts(default_report):
+    _accept(default_report, 2, "character class counts", "characters", [
         "enumerated conductor histogram equals class-count formula",
         "unit dual size equals (p-1) * p^(r-1)",
     ], limit=30)
 
 
-def test_03_supercuspidal_dimension_identity():
-    _accept(3, "supercuspidal dimension identity", "supercuspidal", [
+def test_03_supercuspidal_dimension_identity(default_report):
+    _accept(default_report, 3, "supercuspidal dimension identity",
+            "supercuspidal", [
         "closed form = lattice sum = Kirillov basis count",
     ], limit=5)
 
 
-def test_04_minimal_level_values():
-    _accept(4, "minimal level dimension values", "supercuspidal", [
+def test_04_minimal_level_values(default_report):
+    _accept(default_report, 4, "minimal level dimension values",
+            "supercuspidal", [
         "dimension at the minimal level",
     ])
 
 
-def test_05_level_criteria_equivalence():
-    _accept(5, "level criteria equivalence and windows", "windows", [
+def test_05_level_criteria_equivalence(default_report):
+    _accept(default_report, 5, "level criteria equivalence and windows",
+            "windows", [
         "conductor criterion agrees with depth criterion",
         "min_level is the least level with a fixed vector",
         "single-block conductors lie in the square-integrable window",
@@ -79,19 +72,20 @@ def test_05_level_criteria_equivalence():
     ])
 
 
-def test_06_exact_sequence_identity():
-    _accept(6, "principal series minus Steinberg identity", "supercuspidal", [
+def test_06_exact_sequence_identity(default_report):
+    _accept(default_report, 6, "principal series minus Steinberg identity",
+            "supercuspidal", [
         "principal series minus Steinberg twist is the trivial-quotient line",
     ])
 
 
-def test_07_global_conductor_bounds():
-    _accept(7, "global conductor bounds", "windows", [
+def test_07_global_conductor_bounds(default_report):
+    _accept(default_report, 7, "global conductor bounds", "windows", [
         "local windows compose to products inside the global bounds",
     ], limit=30)
 
 
-def test_08_level_monotonicity():
-    _accept(8, "level monotonicity", "supercuspidal", [
+def test_08_level_monotonicity(default_report):
+    _accept(default_report, 8, "level monotonicity", "supercuspidal", [
         "dimension is nondecreasing in the level",
     ])

@@ -221,6 +221,17 @@ def test_verify_rejects_bad_budget(capsys):
         assert "budget" in err
 
 
+def test_verify_budget_from_env_reaches_the_unit_dual(monkeypatch, capsys):
+    # Budget 1 skips every unit dual of order above 1, so the dual-size
+    # check runs no instance and fails, whether the budget comes from
+    # --budget or from the environment.
+    assert main(["verify", "--suite", "characters", "--budget", "1"]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv(ENV_BUDGET, "1")
+    assert main(["verify", "--suite", "characters"]) == 2
+    assert "[characters] FAILED" in capsys.readouterr().out
+
+
 def test_verify_rejects_bad_budget_from_env(monkeypatch, capsys):
     monkeypatch.setenv(ENV_BUDGET, "0")
     err = run_err(capsys, ["verify", "--suite", "cosets"])

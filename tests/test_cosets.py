@@ -2,10 +2,10 @@ import pytest
 
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.cosets import (
-    index_m0,
     parabolic_index_closed,
     parabolic_index_enumerated,
 )
+from padic_fixvec.representations import dim_induced_general
 
 
 @pytest.mark.parametrize("partition,q,m,expected", [
@@ -27,12 +27,19 @@ def test_closed_index_rejects_level_zero():
 
 @pytest.mark.parametrize("partition", [(1, 1), (2, 1), (4,)])
 def test_index_m0(partition):
-    assert index_m0(partition) == 1
+    # One double coset at level 0: the dimension is the product of the
+    # block dimensions.
+    assert dim_induced_general(partition, 3, 0, [1] * len(partition)) == 1
+    assert dim_induced_general(partition, 3, 0, [2] * len(partition)) == (
+        2 ** len(partition)
+    )
 
 
 def test_index_m0_rejects_empty():
-    with pytest.raises(ValueError):
-        index_m0(())
+    with pytest.raises(ValueError, match="nonempty"):
+        dim_induced_general((), 3, 0, ())
+    with pytest.raises(ValueError, match="nonempty"):
+        dim_induced_general((), 3, 1, ())
 
 
 @pytest.mark.parametrize("partition,p,m,expected", [

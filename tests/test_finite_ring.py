@@ -1,4 +1,5 @@
 from itertools import product, zip_longest
+from typing import Sequence
 
 import pytest
 
@@ -6,14 +7,13 @@ from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.finite_ring import (
     LocalFieldParams,
     MatrixModPM,
+    Rows,
     _block_starts,
     _enumerate_gl_rows,
     _enumerate_parabolic_rows,
-    _rows_in_parabolic,
     det_int,
     enumerate_gl,
     gl_order,
-    in_parabolic,
     is_invertible,
     is_prime,
     parabolic_order,
@@ -23,6 +23,27 @@ from padic_fixvec.verify import GL_COUNT_CASES, PARABOLIC_COUNT_CASES
 # Above this many candidates, filtering all of GL_n by _rows_in_parabolic
 # is too slow for a unit test; the structured reference still runs.
 GL_FILTER_LIMIT = 10**6
+
+
+# Membership in the standard parabolic, the reference that the structured
+# parabolic enumeration is checked against.
+def in_parabolic(a: MatrixModPM, partition: Sequence[int]) -> bool:
+    """True iff every entry strictly below the block diagonal is 0 in Z/p^m."""
+    if sum(partition) != a.n:
+        raise ValueError(
+            f"partition {tuple(partition)} does not sum to matrix size {a.n}"
+        )
+    return _rows_in_parabolic(a.rows, partition)
+
+
+def _rows_in_parabolic(rows: Rows, partition: Sequence[int]) -> bool:
+    starts = _block_starts(partition)
+    for bi, start in enumerate(starts):
+        for i in range(start, start + partition[bi]):
+            for j in range(start):
+                if rows[i][j] != 0:
+                    return False
+    return True
 
 
 @pytest.mark.parametrize("n,expected", [

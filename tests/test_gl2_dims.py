@@ -5,23 +5,14 @@ from padic_fixvec.gl2_dims import (
     PrincipalSeries,
     SteinbergTwist,
     Supercuspidal,
-    delta_leq,
-    dim_principal_series,
-    dim_steinberg_twist,
-    dim_supercuspidal,
     dim_supercuspidal_lattice,
     dim_supercuspidal_minimal,
     kirillov_basis,
     kirillov_basis_count,
-    kirillov_support_interval,
+    kirillov_groups,
     twisted_conductor_minimal,
 )
 from padic_fixvec.representations import dim_induced_general
-
-
-@pytest.mark.parametrize("cond,r,expected", [(0, 0, 1), (2, 1, 0), (1, 1, 1)])
-def test_delta_leq(cond, r, expected):
-    assert delta_leq(cond, r) == expected
 
 
 @pytest.mark.parametrize("q,c1,c2,r,expected", [
@@ -30,7 +21,7 @@ def test_delta_leq(cond, r, expected):
     (2, 1, 1, 2, 6),
 ])
 def test_dim_principal_series(q, c1, c2, r, expected):
-    assert dim_principal_series(q, c1, c2, r) == expected
+    assert PrincipalSeries(c1, c2).dim(q, r) == expected
 
 
 @pytest.mark.parametrize("q,c_chi,r,expected", [
@@ -39,14 +30,7 @@ def test_dim_principal_series(q, c1, c2, r, expected):
     (3, 2, 1, 0),
 ])
 def test_dim_steinberg_twist(q, c_chi, r, expected):
-    assert dim_steinberg_twist(q, c_chi, r) == expected
-
-
-def test_level_zero_rejected_by_raw_formulas():
-    with pytest.raises(ValueError):
-        dim_principal_series(3, 0, 0, 0)
-    with pytest.raises(ValueError):
-        dim_steinberg_twist(3, 0, 0)
+    assert SteinbergTwist(c_chi).dim(q, r) == expected
 
 
 @pytest.mark.parametrize("s,c_chi,expected", [
@@ -99,7 +83,7 @@ def test_supercuspidal_closed_and_lattice_agree():
     (3, 3, 0, 2, 8),
 ])
 def test_dim_supercuspidal_twisted(q, s, c_chi, m, expected):
-    assert dim_supercuspidal(q, s, c_chi, m) == expected
+    assert Supercuspidal(s, c_chi).dim(q, m) == expected
 
 
 def test_kirillov_basis_small():
@@ -123,10 +107,13 @@ def test_kirillov_basis_count_matches_materialization():
 
 
 def test_kirillov_support_interval():
-    assert kirillov_support_interval(2, 0, 0, 2) == (0, 2)
-    assert kirillov_support_interval(2, 2, 0, 2) == (2, 2)
-    lo, hi = kirillov_support_interval(4, 0, 0, 1)
-    assert lo > hi  # empty when the conductor exceeds twice the level
+    # (twist conductor, classes, support min, support max) per nonempty group
+    assert list(kirillov_groups(3, 2, 0, 2)) == [
+        (0, 1, 0, 2), (1, 1, 0, 2), (2, 4, 2, 2),
+    ]
+    assert list(kirillov_groups(2, 2, 0, 2)) == [(0, 1, 0, 2), (2, 1, 2, 2)]
+    # empty when the conductor exceeds twice the level
+    assert list(kirillov_groups(3, 4, 0, 1)) == []
 
 
 def test_kirillov_basis_requires_level_at_least_minus_c_psi():
@@ -134,6 +121,8 @@ def test_kirillov_basis_requires_level_at_least_minus_c_psi():
         kirillov_basis(3, 2, -2, 1)
     with pytest.raises(ValueError):
         kirillov_basis_count(3, 2, -2, 1)
+    with pytest.raises(ValueError):
+        list(kirillov_groups(3, 2, -2, 1))
 
 
 def test_kirillov_element_is_hashable_record():
@@ -172,8 +161,8 @@ def test_exact_sequence_identity():
     for q in range(2, 8):
         for c in range(0, 7):
             for r in range(1, 7):
-                assert dim_principal_series(q, c, c, r) == (
-                    delta_leq(c, r) + dim_steinberg_twist(q, c, r)
+                assert PrincipalSeries(c, c).dim(q, r) == (
+                    (c <= r) + SteinbergTwist(c).dim(q, r)
                 )
 
 

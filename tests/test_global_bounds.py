@@ -4,10 +4,8 @@ from padic_fixvec.global_bounds import (
     MAX_N,
     BoundsResult,
     GlobalLevel,
-    conductor_bounds,
     factorize,
     local_conductor_window,
-    radical,
 )
 
 
@@ -19,7 +17,8 @@ from padic_fixvec.global_bounds import (
     (1024, ((2, 10),)),
 ])
 def test_factorize(N, pairs):
-    level = factorize(N)
+    assert factorize(N) == pairs
+    level = GlobalLevel(N)
     assert level.N == N
     assert level.factorization == pairs
 
@@ -32,20 +31,14 @@ def test_factorize_domain(N):
 
 @pytest.mark.parametrize("N,rad", [(12, 6), (1, 1), (360, 30), (49, 7)])
 def test_radical(N, rad):
-    assert radical(N) == rad
+    assert GlobalLevel(N).radical == rad
 
 
 def test_global_level_validation():
     with pytest.raises(ValueError):
-        GlobalLevel(12, ((3, 1), (2, 2)))  # primes out of order
+        GlobalLevel(0)
     with pytest.raises(ValueError):
-        GlobalLevel(12, ((2, 2), (3, 0)))  # zero exponent
-    with pytest.raises(ValueError):
-        GlobalLevel(12, ((4, 1), (3, 1)))  # composite base
-    with pytest.raises(ValueError):
-        GlobalLevel(12, ((2, 1), (3, 1)))  # wrong product
-    with pytest.raises(ValueError):
-        GlobalLevel(0, ())
+        GlobalLevel(MAX_N + 1)
 
 
 @pytest.mark.parametrize("n,N,lower,upper", [
@@ -55,23 +48,12 @@ def test_global_level_validation():
     (1, 100, 10, 100),
 ])
 def test_conductor_bounds(n, N, lower, upper):
-    assert conductor_bounds(n, N) == BoundsResult(lower, upper)
-
-
-def test_level_conductor_bounds_matches_free_function():
-    for N in range(1, 201):
-        level = factorize(N)
-        for n in range(1, 5):
-            assert level.conductor_bounds(n) == conductor_bounds(n, N)
-    with pytest.raises(ValueError):
-        factorize(12).conductor_bounds(0)
+    assert GlobalLevel(N).conductor_bounds(n) == BoundsResult(lower, upper)
 
 
 def test_conductor_bounds_domain():
     with pytest.raises(ValueError):
-        conductor_bounds(0, 12)
-    with pytest.raises(ValueError):
-        conductor_bounds(2, 0)
+        GlobalLevel(12).conductor_bounds(0)
 
 
 def test_bounds_result_validation():
@@ -102,9 +84,9 @@ def test_lower_bound_brackets_every_admissible_exponent_product():
     # prod p**c_p landing inside [lower, upper].
     for n in (1, 2, 3):
         for N in (2, 12, 60, 360, 1024):
-            bounds = conductor_bounds(n, N)
+            level = GlobalLevel(N)
+            bounds = level.conductor_bounds(n)
             assert bounds.lower <= N <= bounds.upper
-            level = factorize(N)
             for pick in ("lo", "hi"):
                 prod = 1
                 for p, e in level.factorization:

@@ -1,4 +1,4 @@
-from padic_fixvec.budget import ENV_BUDGET, BudgetExceededError
+from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.verify import (
     MAX_FAILURE_DETAILS,
     SUITES,
@@ -34,9 +34,10 @@ def test_cosets_suite_passes_under_tiny_budget_with_notes():
     assert all(note.split(": ", 1)[0] in names for note in report.notes)
 
 
-def test_cosets_suite_runs_every_index_instance_at_default_budget(monkeypatch):
-    monkeypatch.delenv(ENV_BUDGET, raising=False)
-    report = run_cosets()
+def test_cosets_suite_runs_every_index_instance_at_default_budget(
+    default_report,
+):
+    report, _ = default_report("cosets")
     assert report.passed
     assert report.notes == []
     (index,) = [c for c in report.checks
@@ -141,9 +142,8 @@ EXPECTED_INSTANCES = {
 }
 
 
-def test_run_all_instance_counts_at_default_budget(monkeypatch):
-    monkeypatch.delenv(ENV_BUDGET, raising=False)
-    reports = run_all()
+def test_run_all_instance_counts_at_default_budget(default_report):
+    reports = [default_report(suite)[0] for suite in SUITES]
     assert all(r.passed and r.notes == [] for r in reports)
     counts = {
         r.suite: {c.name: c.detail for c in r.checks} for r in reports
