@@ -34,7 +34,7 @@ from dataclasses import asdict, astuple, dataclass
 from typing import Callable, NamedTuple, Union
 
 from .budget import parse_budget
-from .finite_ring import LocalFieldParams, is_prime
+from .finite_ring import PRIME_CAP, LocalFieldParams
 from .gl2_dims import (
     GL2Representation,
     PrincipalSeries,
@@ -110,10 +110,14 @@ def parse_spec(data) -> ParsedSpec:
     field_obj = _as_object(root["field"], "field")
     _reject_extra_keys(field_obj, {"p", "f"}, "field")
     p = _get_int(field_obj, "p", "field", minimum=2)
-    if not is_prime(p):
-        raise SpecError(f"field.p: must be prime, got {p}")
     f = _get_int(field_obj, "f", "field", minimum=1, default=1)
-    field = LocalFieldParams(p, f)
+    try:
+        field = LocalFieldParams(p, f)
+    except ValueError as exc:
+        # f >= 1 holds, so the field rejected p: composite, or too large
+        # for is_prime, whose message states its cap.
+        detail = f"must be prime, got {p}" if p < PRIME_CAP else exc
+        raise SpecError(f"field.p: {detail}") from None
 
     rep_obj = _as_object(root["rep"], "rep")
     rep_type = rep_obj.get("type")
@@ -282,6 +286,15 @@ def cmd_global_bounds(args) -> int:
     return _emit(args, payload, rows)
 
 
+def _has_more_digits(q: int, k: int, digits: int) -> bool:
+    """Whether q**k (q >= 2, k >= 0) has more than `digits` decimal digits,
+    without computing q**k when it is far larger than that."""
+    bound = 10**digits
+    if k * q.bit_length() > 2 * bound.bit_length():
+        return True  # q**k >= 2**(k * (bit_length - 1)) > bound
+    return q**k >= bound
+
+
 def cmd_kirillov_basis(args) -> int:
     parsed = load_spec(args.spec)
     if _maybe_emit_spec(args, parsed):
@@ -296,6 +309,16 @@ def cmd_kirillov_basis(args) -> int:
             " individual classes are not determined by conductors alone"
         )
     q, r = parsed.field.q, args.level
+    # For s <= 2r the twist conductor r group alone counts at least
+    # q**(r-2) functions. Refuse a count that cannot be printed before
+    # building the groups, which at such levels take seconds and ~100 MB.
+    # 0 means no limit, as on interpreters older than 3.10.7 that lack it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and 2 <= r and rep.s <= 2 * r and _has_more_digits(q, r - 2, limit):
+        raise SpecError(
+            f"level: {r} gives Kirillov basis counts of more than {limit}"
+            f" digits, past the interpreter's integer printing limit"
+        )
     groups = [
         {"twist_conductor": i, "num_classes": classes, "support_min": lo,
          "support_max": hi, "count": classes * (hi - lo + 1)}

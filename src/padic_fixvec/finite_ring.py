@@ -18,15 +18,40 @@ from .budget import (
 Rows = tuple[tuple[int, ...], ...]
 
 
+# The first 13 primes: trial divisors, then strong-probable-prime bases.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all of _SMALL_PRIMES as bases (Sorenson and
+# Webster, Math. Comp. 86 (2017)), so the test is a proof below it.
+PRIME_CAP = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Exact primality test for any int: the package's one primality test.
-
-    sympy is imported here, not at module level, so importing this module
-    stays cheap.
-    """
-    from sympy import isprime
-
-    return isprime(n)
+    """Exact primality test for n < PRIME_CAP: the package's one primality
+    test. Trial division by _SMALL_PRIMES, then a strong-probable-prime
+    (Miller-Rabin) test to each of them as a base. Raises ValueError for
+    n >= PRIME_CAP rather than guess."""
+    if n >= PRIME_CAP:
+        raise ValueError(
+            f"primality is proven only below {PRIME_CAP}, got {n}"
+        )
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

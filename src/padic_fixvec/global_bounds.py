@@ -8,9 +8,18 @@ radical and its conductor_bounds(n). Everything here is arithmetic over the
 ground field of rational numbers; number-field generality is out of scope.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, count
+from math import gcd
+
+from .finite_ring import is_prime
 
 MAX_N = 10**18
+# factorize trial-divides below TRIAL_BOUND; Pollard-Brent takes the rest,
+# with GCD_BATCH differences multiplied together per gcd.
+TRIAL_BOUND = 1000
+GCD_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -59,14 +68,56 @@ def factorize(N: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization of 1 <= N <= 10**18, as (prime,
     exponent) pairs sorted by prime; () for N = 1.
 
-    sympy is imported here, not at module level, so importing this module
-    stays cheap.
-    """
+    Trial division by every d < TRIAL_BOUND, then Pollard-Brent splits each
+    composite cofactor; is_prime is exact on the whole range."""
     if not (1 <= N <= MAX_N):
         raise ValueError(f"level must be in [1, 10^18], got {N}")
-    from sympy import factorint
+    exponents = Counter()
+    for d in chain((2,), range(3, TRIAL_BOUND, 2)):
+        if d * d > N:
+            break
+        while N % d == 0:
+            exponents[d] += 1
+            N //= d
+    pending = [N] if N > 1 else []
+    while pending:
+        n = pending.pop()
+        # No prime below TRIAL_BOUND divides n, so n is prime if it is small.
+        if n < TRIAL_BOUND**2 or is_prime(n):
+            exponents[n] += 1
+        else:
+            d = _pollard_brent(n)
+            pending += [d, n // d]
+    return tuple(sorted(exponents.items()))
 
-    return tuple(sorted(factorint(N).items()))
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor below
+    TRIAL_BOUND: Brent's cycle-finding rho (BIT 20, 1980) on x -> x*x + c,
+    batching GCD_BATCH differences per gcd. A c whose cycle closes modulo n
+    itself gives the trivial divisor n, and the next c is tried."""
+    for c in count(1):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(GCD_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += GCD_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def local_conductor_window(n: int, e_p: int) -> tuple[int, int]:

@@ -297,7 +297,8 @@ def run_supercuspidal(budget: int | None = None) -> SuiteReport:
         "twisting is invisible once the level passes the twisted conductor":
             lambda q, s, c_chi, m: _differ(
                 gl2_dims.Supercuspidal(s, c_chi).dim(q, m),
-                gl2_dims.dim_supercuspidal_minimal(q, s, m)
+                # False at m = 0, which the lattice sum rejects.
+                gl2_dims.dim_supercuspidal_lattice(q, s, m)
                 if gl2_dims.twisted_conductor_minimal(s, c_chi) <= 2 * m
                 else 0,
             ),

@@ -1,19 +1,25 @@
+import ast
+import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import padic_fixvec
 from padic_fixvec.budget import ENV_BUDGET
 from padic_fixvec.cli import (
     EXIT_INPUT,
     EXIT_OK,
     SpecError,
+    _has_more_digits,
     load_spec,
     main,
     parse_spec,
     spec_to_dict,
 )
+from padic_fixvec.finite_ring import PRIME_CAP
 
 PS_00 = '{"field": {"p": 3}, "rep": {"type": "principal-series", "c1": 0, "c2": 0}}'
 SC_33 = (
@@ -197,6 +203,21 @@ def test_kirillov_basis(capsys):
     run_err(capsys, ["kirillov-basis", twisted, "--level", "2"])
 
 
+@pytest.mark.parametrize("p,level", [(3, 9020), (3, 13000), (2, 3 * 10**6)])
+def test_kirillov_basis_refuses_unprintable_counts(capsys, p, level):
+    spec = (f'{{"field": {{"p": {p}}}, "rep": {{"type": "supercuspidal",'
+            ' "minimal_conductor": 7}}')
+    assert main(["kirillov-basis", spec, "--level", str(level)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: level: {level} gives") and "4300" in err
+
+
+def test_has_more_digits_is_exact():
+    for q, k in itertools.product((2, 3, 4, 7, 10007), range(0, 1000, 7)):
+        assert _has_more_digits(q, k, 300) is (len(str(q**k)) > 300)
+
+
 def test_verify_single_suite(capsys):
     assert main(["verify", "--suite", "characters"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -319,6 +340,52 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout)["dimension"] == 4
+
+
+def test_p_past_the_primality_cap_is_an_input_error(capsys):
+    spec = (f'{{"field": {{"p": {PRIME_CAP + 2}}},'
+            ' "rep": {"type": "steinberg-twist", "c_chi": 0}}')
+    assert main(["min-level", spec]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: field.p: ") and str(PRIME_CAP) in err
+
+
+# Runs main on its argv with stdout swallowed, then prints the exit code and
+# whether sympy got imported.
+MAIN_REPORTING_SYMPY = """
+import contextlib, io, sys
+from padic_fixvec.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "sympy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", PS_00, "--level", "2"],
+    ["global-bounds", "--n", "2", "--level-N", str(999999929 * 999999937)],
+    ["verify", "--suite", "windows"],
+], ids=["dim", "global-bounds", "verify-windows"])
+def test_cli_calls_load_no_sympy(argv):
+    result = subprocess.run(
+        [sys.executable, "-c", MAIN_REPORTING_SYMPY, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == ["0", "False"]
+
+
+def test_no_source_file_imports_sympy():
+    package = Path(padic_fixvec.__file__).parent
+    for path in sorted(package.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.partition(".")[0] == "sympy" for m in modules), path
 
 
 def test_importing_cli_loads_neither_verify_nor_sympy():

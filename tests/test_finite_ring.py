@@ -1,3 +1,4 @@
+import random
 from itertools import product, zip_longest
 from typing import Sequence
 
@@ -5,6 +6,7 @@ import pytest
 
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.finite_ring import (
+    PRIME_CAP,
     LocalFieldParams,
     MatrixModPM,
     Rows,
@@ -53,6 +55,32 @@ def _rows_in_parabolic(rows: Rows, partition: Sequence[int]) -> bool:
 ])
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
+
+
+def test_is_prime_matches_sympy():
+    from sympy import isprime
+
+    assert all(is_prime(n) is isprime(n) for n in range(-2, 10**5))
+    rng = random.Random(1)
+    for n in (rng.randrange(10**17, 10**18) for _ in range(2000)):
+        assert is_prime(n) is isprime(n), n
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,  # to bases 2, ..., 23
+    318665857834031151167461,  # to bases 2, ..., 37; base 41 exposes it
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert is_prime(n) is False
+
+
+def test_is_prime_refuses_at_its_cap():
+    assert PRIME_CAP == 3317044064679887385961981
+    assert is_prime(PRIME_CAP - 2) is False
+    for n in (PRIME_CAP, PRIME_CAP + 2, 10**30):
+        with pytest.raises(ValueError, match=str(PRIME_CAP)):
+            is_prime(n)
 
 
 def test_local_field_params():

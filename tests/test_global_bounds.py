@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from padic_fixvec.global_bounds import (
@@ -21,6 +23,20 @@ def test_factorize(N, pairs):
     level = GlobalLevel(N)
     assert level.N == N
     assert level.factorization == pairs
+
+
+def test_factorize_matches_sympy():
+    from sympy import factorint
+
+    def expected(N):
+        return tuple(sorted(factorint(N).items()))
+
+    rng = random.Random(1)
+    samples = [rng.randrange(1, 10**18) for _ in range(500)]
+    # A semiprime near 10^18 with both prime factors near 10^9.
+    samples.append(999999929 * 999999937)
+    for N in [*range(1, 10**4 + 1), *samples]:
+        assert factorize(N) == expected(N), N
 
 
 @pytest.mark.parametrize("N", [0, -5, MAX_N + 1])
