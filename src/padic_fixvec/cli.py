@@ -256,6 +256,10 @@ def cmd_query(args) -> int:
 
 def cmd_global_bounds(args) -> int:
     level = GlobalLevel(args.level_N)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and level.N > 1 and _has_more_digits(level.N, args.n, limit):
+        raise SpecError(f"--n: {args.n} gives an upper bound N**n of more than"
+                        f" {limit} digits, past the interpreter's printing limit")
     bounds = level.conductor_bounds(args.n)
     windows = [
         {"p": p, "e": e, **dict(zip(("lo", "hi"),

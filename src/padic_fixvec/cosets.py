@@ -6,7 +6,8 @@ in closed form from the order formulas, and by counting cosets over the
 finite ring (the oracle, restricted to residue degree 1). The oracle keys
 each coset by the flag of row spans of its trailing blocks, in the
 canonical echelon form of spans in (Z/p^m)^n (Howell, "Spans in the
-module (Z_m)^s", 1986); it uses no order formula.
+module (Z_m)^s", 1986). It grows the flags from the bottom row up, one
+row at a time, and keeps each partial flag once; it uses no order formula.
 """
 
 from itertools import product
@@ -15,7 +16,7 @@ from typing import Sequence
 from .budget import (
     DEFAULT_CANDIDATE_BUDGET, BudgetExceededError, resolve_budget,
 )
-from .finite_ring import Rows, _block_starts, gl_order, is_prime, parabolic_order
+from .finite_ring import Rows, gl_order, is_prime, parabolic_order
 
 
 def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
@@ -75,10 +76,14 @@ def parabolic_index_enumerated(
     the blocks below it, so P*g is fixed by the flag of spans of g's
     trailing blocks: the last block's rows, the last two blocks' rows, and
     so on. Rows independent mod p are exactly the trailing rows of some
-    invertible g. So every choice of the n - n_1 rows below the first block
-    is enumerated, the choices dependent mod p are dropped, and the rest
-    are counted by their flags in unit echelon form. Gated by the
-    p**(m*n*(n - n_1)) candidates against the candidate budget.
+    invertible g. So the flags grow from the bottom row up, as a set of
+    partial flags: the unit echelon forms of the finished trailing blocks
+    and of the rows taken so far. Each step puts every row of (Z/p^m)^n on
+    top of each partial flag and drops the rows dependent mod p. The span
+    of a new row with an old span depends on the old span only through its
+    echelon form, so equal partial flags are extended once. Gated by the
+    p**(m*n*(n - n_1)) choices of the rows below the first block against
+    the candidate budget; that count bounds the echelon forms computed.
     """
     if m < 1:
         raise ValueError(f"level m must be >= 1, got {m}")
@@ -98,10 +103,15 @@ def parabolic_index_enumerated(
             f"coset enumeration for partition {partition} over Z/{p}^{m}",
         )
     pm = p**m
-    suffixes = [start - partition[0] for start in _block_starts(partition)[2:]]
-    flags: set[tuple] = set()
-    for rows in product(product(range(pm), repeat=n), repeat=tail):
-        span = _unit_echelon(rows, p, pm)
-        if span is not None:
-            flags.add((span, *(_unit_echelon(rows[s:], p, pm) for s in suffixes)))
-    return len(flags)
+    row_space = list(product(range(pm), repeat=n))
+    states: set[tuple] = {((), ())}
+    for size in reversed(partition[1:]):
+        for _ in range(size):
+            states = {
+                (done, echelon)
+                for done, rows in states
+                for row in row_space
+                if (echelon := _unit_echelon((row, *rows), p, pm)) is not None
+            }
+        states = {((*done, rows), rows) for done, rows in states}
+    return len(states)

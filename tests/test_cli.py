@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,27 @@ def test_kirillov_basis_refuses_unprintable_counts(capsys, p, level):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: level: {level} gives") and "4300" in err
+
+
+@pytest.mark.parametrize("n,level", [(1500, 500000), (10**8, 51), (2471, 55)])
+def test_global_bounds_refuses_unprintable_upper_bounds(capsys, n, level):
+    start = time.perf_counter()
+    code = main(["global-bounds", "--n", str(n), "--level-N", str(level)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: --n: {n} gives") and "4300" in err
+    assert elapsed < 0.5
+
+
+def test_global_bounds_answers_up_to_the_digit_limit(capsys):
+    # 55**2470 has 4,299 digits and 55**2471 has 4,301; N = 1 answers for
+    # every n.
+    out = run_json(capsys, ["global-bounds", "--n", "2470", "--level-N", "55"])
+    assert len(str(out["upper"])) == 4299
+    out = run_json(capsys, ["global-bounds", "--n", str(10**8), "--level-N", "1"])
+    assert (out["lower"], out["upper"]) == (1, 1)
 
 
 def test_has_more_digits_is_exact():

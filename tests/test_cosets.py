@@ -1,10 +1,15 @@
+import itertools
+import random
+
 import pytest
 
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.cosets import (
+    _unit_echelon,
     parabolic_index_closed,
     parabolic_index_enumerated,
 )
+from padic_fixvec.finite_ring import det_int
 from padic_fixvec.representations import dim_induced_general
 
 
@@ -57,6 +62,50 @@ def test_index_m0_rejects_empty():
 ])
 def test_enumerated_index_values(partition, p, m, expected):
     assert parabolic_index_enumerated(partition, p, m) == expected
+
+
+@pytest.mark.parametrize("partition,expected", [
+    ((2, 2), 35),
+    ((1, 1, 1, 1), 315),
+    ((1, 3), 15),
+    ((1, 1, 2), 105),
+    ((2, 1, 1), 105),
+])
+def test_enumerated_index_at_n4(partition, expected):
+    assert parabolic_index_enumerated(partition, 2, 1) == expected
+    assert parabolic_index_closed(partition, 2, 1) == expected
+
+
+def _random_rows(rng, k, n, pm):
+    return tuple(tuple(rng.randrange(pm) for _ in range(n)) for _ in range(k))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (5, 1)])
+def test_unit_echelon_is_a_canonical_span_key(p, m):
+    # The row-by-row oracle keys partial flags by _unit_echelon, so the key
+    # must depend on the span alone and absorb a new row the same way.
+    pm = p**m
+    rng = random.Random(p * 10 + m)
+    for n in (1, 2, 3):
+        space = list(itertools.product(range(pm), repeat=n))
+        for k in range(1, n + 1):
+            for _ in range(8):
+                rows = _random_rows(rng, k, n, pm)
+                while _unit_echelon(rows, p, pm) is None:
+                    rows = _random_rows(rng, k, n, pm)
+                a = _random_rows(rng, k, k, pm)
+                while det_int(a) % p == 0:
+                    a = _random_rows(rng, k, k, pm)
+                mixed = tuple(
+                    tuple(sum(a[i][t] * rows[t][j] for t in range(k)) % pm
+                          for j in range(n))
+                    for i in range(k)
+                )
+                key = _unit_echelon(rows, p, pm)
+                assert _unit_echelon(mixed, p, pm) == key
+                for row in space:
+                    assert (_unit_echelon((row, *key), p, pm)
+                            == _unit_echelon((row, *rows), p, pm))
 
 
 def test_enumerated_index_budget():

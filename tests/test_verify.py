@@ -1,3 +1,4 @@
+from padic_fixvec import verify
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.verify import (
     MAX_FAILURE_DETAILS,
@@ -45,9 +46,22 @@ def test_cosets_suite_runs_every_index_instance_at_default_budget(
     assert index.detail == "18 instances"
 
 
-def test_run_all_mirrors_registry_order():
+def test_run_all_mirrors_registry_order(monkeypatch):
+    # Stub suites: the order and the budget are all this test checks.
+    calls, made = [], []
+
+    def stub(name):
+        def runner(budget):
+            calls.append((name, budget))
+            made.append(SuiteReport(name))
+            return made[-1]
+        return runner
+
+    monkeypatch.setattr(verify, "SUITES", {name: stub(name) for name in SUITES})
     reports = run_all(budget=1000)
+    assert calls == [(name, 1000) for name in SUITES]
     assert [r.suite for r in reports] == list(SUITES)
+    assert all(r is m for r, m in zip(reports, made, strict=True))
 
 
 def test_suite_report_bookkeeping():
