@@ -59,7 +59,7 @@ def main() -> None:
             f"p={p}: exponent in {local_conductor_window(n, e)}"
             for p, e in level.factorization
         )
-        print(f"N = {N:>4}, n = {n}: conductor in [{bounds.lower}, {bounds.upper}]")
+        print(f"N = {N:>4}, n = {n}: conductor in {bounds}")
         print(f"            {windows}")
 
 

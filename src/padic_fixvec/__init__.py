@@ -44,7 +44,6 @@ from .gl2_dims import (
     twisted_conductor_minimal,
 )
 from .global_bounds import (
-    BoundsResult,
     GlobalLevel,
     factorize,
     local_conductor_window,
@@ -66,7 +65,6 @@ from .representations import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsResult",
     "BudgetExceededError",
     "ConductorWindow",
     "DEFAULT_CANDIDATE_BUDGET",

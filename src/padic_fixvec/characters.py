@@ -15,6 +15,7 @@ from .budget import (
     DEFAULT_UNIT_DUAL_BUDGET, BudgetExceededError, resolve_budget,
 )
 from .finite_ring import is_prime
+from .global_bounds import factorize
 
 
 def num_classes_exact(q: int, i: int) -> int:
@@ -67,16 +68,7 @@ class QuasiCharacterClass:
 def _primitive_root(p: int, r: int) -> int:
     """A generator of the cyclic group (Z/p^r)^x, p odd."""
     phi_p = p - 1
-    prime_divs = []
-    rest, d = phi_p, 2
-    while d * d <= rest:
-        if rest % d == 0:
-            prime_divs.append(d)
-            while rest % d == 0:
-                rest //= d
-        d += 1
-    if rest > 1:
-        prime_divs.append(rest)
+    prime_divs = [ell for ell, _ in factorize(phi_p)]
     g = 2
     while any(pow(g, phi_p // ell, p) == 1 for ell in prime_divs):
         g += 1

@@ -213,31 +213,66 @@ def _maybe_emit_spec(args, parsed: ParsedSpec) -> bool:
     return False
 
 
-def _has_fixed_rows(rep, q: int, m: int) -> list[tuple[str, object]]:
+def _digit_limit() -> int:
+    """The interpreter's integer printing limit; 0 (none) before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _printable_q(field: LocalFieldParams) -> int:
+    """q = p**f, refused before it is computed when it cannot be printed."""
+    limit = _digit_limit()
+    if limit and _has_more_digits(field.p, field.f, limit):
+        raise SpecError(f"field.f: {field.f} gives q = p**f of more than"
+                        f" {limit} digits, past the interpreter's printing limit")
+    return field.q
+
+
+def _too_long(m: int, field: LocalFieldParams, what: str) -> SpecError:
+    return SpecError(f"level: {m} gives {what} of more than {_digit_limit()} digits"
+                     f" at field.f = {field.f}, past the interpreter's printing limit")
+
+
+def _dim_rows(rep, field: LocalFieldParams, m: int) -> list[tuple[str, object]]:
+    q, limit = _printable_q(field), _digit_limit()
+    # A nonzero dimension at a level m >= 2 is at least q**(m-2), so it is
+    # refused before it is computed; a single GL_1 block's is at most 1.
+    gl1 = isinstance(rep, GenericRepresentation) and rep.n == 1
+    if (limit and not gl1 and max(2, rep.min_level()) <= m
+            and _has_more_digits(q, m - 2, limit)):
+        raise _too_long(m, field, "a dimension")
+    dimension = rep.dim(q, m)
+    if limit and dimension >= 10**limit:
+        raise _too_long(m, field, "a dimension")
+    return [("dimension", dimension), ("level", m), ("q", q),
+            ("branch", rep.dim_branch)]
+
+
+def _has_fixed_rows(rep, field: LocalFieldParams, m: int) -> list[tuple[str, object]]:
     if m < 0:
         raise SpecError(f"level must be >= 0, got {m}")
-    return [("has_fixed_vector", m >= rep.min_level()), ("level", m), ("q", q)]
+    return [("has_fixed_vector", m >= rep.min_level()), ("level", m),
+            ("q", _printable_q(field))]
 
 
 class Query(NamedTuple):
     help: str
     with_level: bool
-    rows: Callable  # (rep, q, level or None) -> [(key, value), ...]
+    rows: Callable  # (rep, field, level or None) -> [(key, value), ...]
 
 
 QUERIES = {
-    "dim": Query("fixed-space dimension at a level", True, lambda rep, q, m: [
-        ("dimension", rep.dim(q, m)), ("level", m), ("q", q),
-        ("branch", rep.dim_branch)]),
+    "dim": Query("fixed-space dimension at a level", True, _dim_rows),
     "has-fixed": Query("whether a nonzero fixed vector exists at a level",
                        True, _has_fixed_rows),
     "min-level": Query("least level with a nonzero fixed vector", False,
-                       lambda rep, q, m: [("min_level", rep.min_level()), ("q", q)]),
+                       lambda rep, field, _: [("min_level", rep.min_level()),
+                                              ("q", _printable_q(field))]),
+    # conductor and depth neither compute nor print q: they answer for any f.
     "conductor": Query("conductor of the represented data", False,
-                       lambda rep, q, m: [("conductor", rep.conductor()),
-                                          ("convention", rep.conductor_convention)]),
+                       lambda rep, *_: [("conductor", rep.conductor()),
+                                        ("convention", rep.conductor_convention)]),
     "depth": Query("depth, printed as an exact fraction", False,
-                   lambda rep, q, m: [("depth", str(rep.depth()))]),
+                   lambda rep, *_: [("depth", str(rep.depth()))]),
 }
 
 
@@ -245,7 +280,7 @@ def cmd_query(args) -> int:
     parsed = load_spec(args.spec)
     if _maybe_emit_spec(args, parsed):
         return EXIT_OK
-    rows = args.query.rows(parsed.rep, parsed.field.q,
+    rows = args.query.rows(parsed.rep, parsed.field,
                            getattr(args, "level", None))
     # The table spells booleans as JSON does: true, false.
     return _emit(args, dict(rows), [
@@ -256,35 +291,31 @@ def cmd_query(args) -> int:
 
 def cmd_global_bounds(args) -> int:
     level = GlobalLevel(args.level_N)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and level.N > 1 and _has_more_digits(level.N, args.n, limit):
         raise SpecError(f"--n: {args.n} gives an upper bound N**n of more than"
                         f" {limit} digits, past the interpreter's printing limit")
     bounds = level.conductor_bounds(args.n)
-    windows = [
-        {"p": p, "e": e, **dict(zip(("lo", "hi"),
-                                    local_conductor_window(args.n, e)))}
-        for p, e in level.factorization
-    ]
+    windows = [(p, e, local_conductor_window(args.n, e))
+               for p, e in level.factorization]
     payload = {
         "N": level.N,
         "factorization": [[p, e] for p, e in level.factorization],
-        "local_windows": windows,
-        "lower": bounds.lower,
+        "local_windows": [{"p": p, "e": e, "lo": w.lo, "hi": w.hi}
+                          for p, e, w in windows],
+        "lower": bounds.lo,
         "n": args.n,
-        "upper": bounds.upper,
+        "upper": bounds.hi,
     }
     factor_str = " * ".join(
         f"{p}^{e}" if e > 1 else str(p) for p, e in level.factorization
     ) or "1"
-    window_str = "; ".join(
-        f"p={w['p']}: [{w['lo']}, {w['hi']}]" for w in windows
-    ) or "(none)"
+    window_str = "; ".join(f"p={p}: {w}" for p, _, w in windows) or "(none)"
     rows = [
         ("N", f"{level.N} = {factor_str}"),
         ("n", args.n),
-        ("lower", bounds.lower),
-        ("upper", bounds.upper),
+        ("lower", bounds.lo),
+        ("upper", bounds.hi),
         ("local windows", window_str),
     ]
     return _emit(args, payload, rows)
@@ -312,23 +343,20 @@ def cmd_kirillov_basis(args) -> int:
             " supercuspidals only (twist_conductor 0); twisted conductors of"
             " individual classes are not determined by conductors alone"
         )
-    q, r = parsed.field.q, args.level
+    q, r, limit = _printable_q(parsed.field), args.level, _digit_limit()
     # For s <= 2r the twist conductor r group alone counts at least
     # q**(r-2) functions. Refuse a count that cannot be printed before
     # building the groups, which at such levels take seconds and ~100 MB.
-    # 0 means no limit, as on interpreters older than 3.10.7 that lack it.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and 2 <= r and rep.s <= 2 * r and _has_more_digits(q, r - 2, limit):
-        raise SpecError(
-            f"level: {r} gives Kirillov basis counts of more than {limit}"
-            f" digits, past the interpreter's integer printing limit"
-        )
+        raise _too_long(r, parsed.field, "Kirillov basis counts")
     groups = [
         {"twist_conductor": i, "num_classes": classes, "support_min": lo,
          "support_max": hi, "count": classes * (hi - lo + 1)}
         for i, classes, lo, hi in kirillov_groups(q, rep.s, args.c_psi, r)
     ]
     dimension = sum(g["count"] for g in groups)
+    if limit and dimension >= 10**limit:  # no count exceeds the dimension
+        raise _too_long(r, parsed.field, "Kirillov basis counts")
     payload = {
         "c_psi": args.c_psi,
         "dimension": dimension,

@@ -113,26 +113,21 @@ class Supercuspidal:
         if self.c_chi < 0:
             raise ValueError("twist conductor must be >= 0")
 
-    @property
-    def effective_conductor(self) -> int:
+    def conductor(self) -> int:
         return twisted_conductor_minimal(self.s, self.c_chi)
 
-    def conductor(self) -> int:
-        return self.effective_conductor
-
     def min_level(self) -> int:
-        return -(-self.effective_conductor // 2)
+        return -(-self.conductor() // 2)
 
     def depth(self) -> DepthValue:
-        return depth_supercuspidal_gl2(self.effective_conductor)
+        return depth_supercuspidal_gl2(self.conductor())
 
     def dim(self, q: int, m: int) -> int:
-        """0 while the effective conductor max(s, 2*c_chi) exceeds 2m; from
-        there on the twist is invisible and the dimension is the minimal
-        one."""
+        """0 while the conductor max(s, 2*c_chi) exceeds 2m; from there on
+        the twist is invisible and the dimension is the minimal one."""
         if m < 0:
             raise ValueError(f"level must be >= 0, got {m}")
-        if self.effective_conductor > 2 * m:
+        if self.conductor() > 2 * m:
             return 0
         return dim_supercuspidal_minimal(q, self.s, m)
 

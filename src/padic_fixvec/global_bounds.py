@@ -11,9 +11,10 @@ ground field of rational numbers; number-field generality is out of scope.
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, count
-from math import gcd
+from math import gcd, prod
 
 from .finite_ring import is_prime
+from .representations import ConductorWindow
 
 MAX_N = 10**18
 # factorize trial-divides below TRIAL_BOUND; Pollard-Brent takes the rest,
@@ -36,32 +37,15 @@ class GlobalLevel:
     @property
     def radical(self) -> int:
         """Product of the distinct primes dividing N (1 when N = 1)."""
-        rad = 1
-        for p, _ in self.factorization:
-            rad *= p
-        return rad
+        return prod(p for p, _ in self.factorization)
 
-    def conductor_bounds(self, n: int) -> "BoundsResult":
+    def conductor_bounds(self, n: int) -> ConductorWindow:
         """Conductor range for a group size n at this minimal level:
-        lower = max(rad(N), N // rad(N)), upper = N**n."""
+        [max(rad(N), N // rad(N)), N**n]."""
         if n < 1:
             raise ValueError(f"group size must be >= 1, got {n}")
         rad = self.radical
-        return BoundsResult(max(rad, self.N // rad), self.N**n)
-
-
-@dataclass(frozen=True)
-class BoundsResult:
-    """An inclusive conductor range."""
-
-    lower: int
-    upper: int
-
-    def __post_init__(self):
-        if not (1 <= self.lower <= self.upper):
-            raise ValueError(
-                f"need 1 <= lower <= upper, got ({self.lower}, {self.upper})"
-            )
+        return ConductorWindow(max(rad, self.N // rad), self.N**n)
 
 
 def factorize(N: int) -> tuple[tuple[int, int], ...]:
@@ -120,11 +104,11 @@ def _pollard_brent(n: int) -> int:
             return g
 
 
-def local_conductor_window(n: int, e_p: int) -> tuple[int, int]:
-    """Inclusive conductor range at a prime dividing the level with
+def local_conductor_window(n: int, e_p: int) -> ConductorWindow:
+    """Conductor exponent range at a prime dividing the level with
     exponent e_p: [max(e_p - 1, 1), e_p * n]."""
     if n < 1:
         raise ValueError(f"group size must be >= 1, got {n}")
     if e_p < 1:
         raise ValueError(f"exponent must be >= 1, got {e_p}")
-    return (max(e_p - 1, 1), e_p * n)
+    return ConductorWindow(max(e_p - 1, 1), e_p * n)

@@ -113,9 +113,9 @@ def dim_induced_general(
     """Fixed-space dimension of a parabolically induced representation:
     (number of double cosets) * (product of the block fixed-space dims).
 
-    The coset count is the closed-form parabolic index for m >= 1 and 1 at
-    level 0, where the full integral group absorbs everything. Block
-    dimensions are the caller's data.
+    The coset count is the closed-form parabolic index, or 1 at level 0,
+    where the full integral group absorbs everything, and for one block,
+    where P is the whole group. Block dimensions are the caller's data.
     """
     partition = tuple(partition)
     if not partition:
@@ -126,7 +126,7 @@ def dim_induced_general(
         )
     if m < 0:
         raise ValueError(f"level must be >= 0, got {m}")
-    dim = 1 if m == 0 else parabolic_index_closed(partition, q, m)
+    dim = 1 if m == 0 or len(partition) == 1 else parabolic_index_closed(partition, q, m)
     for d in block_dims:
         dim *= d
     return dim
@@ -172,36 +172,34 @@ def has_fixed_vector(rep: GenericRepresentation, m: int) -> bool:
 
 @dataclass(frozen=True)
 class ConductorWindow:
-    """Integer window (lo, hi] containing the conductor of a representation
-    of minimal level m, as stated by the closed-form criteria. The verify
-    windows suite checks every variant on an exhaustive grid."""
+    """Inclusive integer range [lo, hi], 0 <= lo <= hi: the conductors (or
+    the conductor exponents at one prime) that a closed-form criterion
+    allows. The verify windows suite checks every window on a grid."""
 
-    lo_exclusive: int
-    hi_inclusive: int
-    variant: str
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if not 0 <= self.lo <= self.hi:
+            raise ValueError(f"need 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
     def contains(self, c: int) -> bool:
-        return self.lo_exclusive < c <= self.hi_inclusive
+        return self.lo <= c <= self.hi
 
     def __str__(self) -> str:
-        if self.lo_exclusive == self.hi_inclusive - 1:
-            return f"{{{self.hi_inclusive}}} [{self.variant}]"
-        return f"({self.lo_exclusive}, {self.hi_inclusive}] [{self.variant}]"
+        return f"[{self.lo}, {self.hi}]"
 
 
 def conductor_window(n: int, m: int, square_integrable: bool = False) -> ConductorWindow:
     """Window of possible conductors for a representation of GL_n whose least
-    fixed-vector level is m: [m, m*n] generically, ((m-1)*n, m*n] in the
-    square-integrable case, and {0} when m = 0."""
+    fixed-vector level is m: [m, m*n] generically, [(m-1)*n + 1, m*n] for
+    a single square-integrable block, and [0, 0] when m = 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"level must be >= 0, got {m}")
-    if m == 0:
-        return ConductorWindow(-1, 0, "level-zero")
-    if square_integrable:
-        return ConductorWindow((m - 1) * n, m * n, "square-integrable")
-    return ConductorWindow(m - 1, m * n, "generic")
+    lo = (m - 1) * n + 1 if square_integrable else m
+    return ConductorWindow(max(lo, 0), m * n)
 
 
 def depth_supercuspidal_gl2(c: int) -> DepthValue:

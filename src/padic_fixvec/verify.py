@@ -258,7 +258,7 @@ def _nondecreasing(q: int, rep) -> str | None:
 
 def _vanishes_below_conductor(q: int, s: int, c_chi: int, m: int) -> str | None:
     rep = gl2_dims.Supercuspidal(s, c_chi)
-    return _differ(rep.dim(q, m) > 0, rep.effective_conductor <= 2 * m)
+    return _differ(rep.dim(q, m) > 0, rep.conductor() <= 2 * m)
 
 
 def _materialized_basis(q: int, s: int, c_psi: int, m: int) -> str | None:
@@ -384,12 +384,12 @@ def _in_window(rep, least: int, square_integrable=False) -> str | None:
     """The conductor lies in the window of the rep's least level."""
     window = representations.conductor_window(rep.n, least, square_integrable)
     c = rep.conductor()
-    return not window.contains(c) and f"c={c} not in {window}"
+    return not window.lo <= c <= window.hi and f"c={c} not in {window}"
 
 
 def _global_bounds_cases():
-    """(n, GlobalLevel(N), literal (lower, upper) or None): one literal spot,
-    then every n <= 4 and N <= 10^4, factorizing each N once."""
+    """(n, GlobalLevel(N), literal (lo, hi) or None): one literal spot, then
+    every n <= 4 and N <= 10^4, factorizing each N once."""
     yield 2, global_bounds.GlobalLevel(12), (6, 144)
     for N in range(1, 10_001):
         level = global_bounds.GlobalLevel(N)
@@ -397,24 +397,25 @@ def _global_bounds_cases():
             yield n, level, None
 
 
-def _bounds_hold(n: int, level, literal) -> str | None:
+def _bounds_hold(n: int, level, literal, local: dict) -> str | None:
     """N lies in its global bounds (equal to the upper one for n = 1), and
     so does every product of each prime's low, middle and high local
-    exponent."""
+    exponent. local maps (n, e) to local_conductor_window(n, e)."""
     N, bounds = level.N, level.conductor_bounds(n)
-    if literal is not None and (bounds.lower, bounds.upper) != literal:
-        return f"bounds {(bounds.lower, bounds.upper)} != {literal}"
-    if not (bounds.lower <= N <= bounds.upper):
+    lo, hi = bounds.lo, bounds.hi
+    if literal is not None and (lo, hi) != literal:
+        return f"bounds {(lo, hi)} != {literal}"
+    if not lo <= N <= hi:
         return "N outside bounds"
-    if n == 1 and bounds.upper != N:
-        return f"upper {bounds.upper} != N"
+    if n == 1 and hi != N:
+        return f"upper {hi} != N"
     choices = []
     for p, e in level.factorization:
-        lo, hi = global_bounds.local_conductor_window(n, e)
-        choices.append([p**c for c in sorted({lo, (lo + hi) // 2, hi})])
+        w = local[n, e]
+        choices.append([p**c for c in sorted({w.lo, (w.lo + w.hi) // 2, w.hi})])
     for powers in itertools.product(*choices):
         product = math.prod(powers)
-        if not (bounds.lower <= product <= bounds.upper):
+        if not lo <= product <= hi:
             return f"prime powers {powers}: {product}"
     return None
 
@@ -461,9 +462,12 @@ def run_windows(budget: int | None = None) -> SuiteReport:
         })
         report.checks.append(generic)
 
+    # Each local window (n <= 4, 2**e <= 10^4) is built once, not 97,200 times.
+    local = {(n, e): global_bounds.local_conductor_window(n, e)
+             for n in range(1, 5) for e in range(1, 14)}
     report.check(_global_bounds_cases(), {
         "local windows compose to products inside the global bounds":
-            _bounds_hold,
+            lambda *case: _bounds_hold(*case, local),
     })
     return report
 

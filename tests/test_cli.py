@@ -235,6 +235,77 @@ def test_global_bounds_answers_up_to_the_digit_limit(capsys):
     assert (out["lower"], out["upper"]) == (1, 1)
 
 
+def _spec(p, rep, f=1):
+    return json.dumps({"field": {"p": p, "f": f}, "rep": rep})
+
+
+PS_12 = {"type": "principal-series", "c1": 1, "c2": 2}
+ST_1 = {"type": "steinberg-twist", "c_chi": 1}
+SC_7 = {"type": "supercuspidal", "minimal_conductor": 7}
+
+
+@pytest.mark.parametrize("argv,names", [
+    # A large q at a level past the limit: principal series, supercuspidal.
+    (["dim", _spec(20000000000021, PS_12), "--level", "500"], "level:"),
+    (["dim", _spec(20000000000021, SC_7), "--level", "400"], "level:"),
+    # q = p**f itself past the limit, and far past it.
+    (["dim", _spec(3, ST_1, f=20000), "--level", "2"], "field.f:"),
+    (["min-level", _spec(3, ST_1, f=6 * 10**7)], "field.f:"),
+    # A level so large that computing the dimension would hang.
+    (["dim", _spec(2, {"type": "supercuspidal", "minimal_conductor": 5}),
+      "--level", str(10**5)], "level:"),
+    # q fits but its square does not: refused after computing, naming both.
+    (["dim", _spec(2, ST_1, f=10**4), "--level", "2"], "field.f = 10000"),
+    (["has-fixed", _spec(5, ST_1, f=10**5), "--level", "2"], "field.f:"),
+    (["kirillov-basis", _spec(3, SC_7, f=10**5), "--level", "2"], "field.f:"),
+])
+def test_unprintable_answers_are_refused_quickly(capsys, argv, names):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert names in err and "4300" in err
+    assert "Exceeds the limit" not in err
+    assert elapsed < 1
+
+
+def test_largest_printable_principal_series_level_answers(capsys):
+    # 3 * 2**(L-1) is the dimension at level L and q = 2; L is the largest
+    # level where it fits in the printing limit, so L + 1 is refused.
+    limit = sys.get_int_max_str_digits()
+    level = ((10**limit - 1) // 3).bit_length()
+    spec = _spec(2, {"type": "principal-series", "c1": 0, "c2": 0})
+    payload = run_json(capsys, ["dim", spec, "--level", str(level)])
+    assert payload["dimension"] == 3 * 2 ** (level - 1)
+    err = run_err(capsys, ["dim", spec, "--level", str(level + 1)])
+    assert f"level: {level + 1} gives" in err
+
+
+def test_queries_that_never_print_q_answer_for_any_f(capsys):
+    sc = _spec(3, {"type": "supercuspidal", "minimal_conductor": 5},
+               f=6 * 10**7)
+    assert run_json(capsys, ["conductor", sc])["conductor"] == 5
+    assert run_json(capsys, ["depth", sc]) == {"depth": "3/2"}
+
+
+def test_gl1_dimension_answers_at_any_level(capsys):
+    gl1 = _spec(3, {"type": "induced", "blocks": [{"n": 1, "conductor": 5}]})
+    for level, dimension in ((4, 0), (10**9, 1)):
+        payload = run_json(capsys, ["dim", gl1, "--level", str(level)])
+        assert payload["dimension"] == dimension
+
+
+def test_kirillov_basis_refuses_counts_just_past_the_limit(capsys):
+    # At q = 10007, q**(level-2) fits up to level 1076, but the count
+    # already overflows at level 1075: only the computed count shows it.
+    spec = _spec(10007, SC_7)
+    assert run_json(capsys, ["kirillov-basis", spec, "--level", "1074"])
+    err = run_err(capsys, ["kirillov-basis", spec, "--level", "1075"])
+    assert "level: 1075 gives" in err and "Exceeds the limit" not in err
+
+
 def test_has_more_digits_is_exact():
     for q, k in itertools.product((2, 3, 4, 7, 10007), range(0, 1000, 7)):
         assert _has_more_digits(q, k, 300) is (len(str(q**k)) > 300)

@@ -139,7 +139,7 @@ def test_rep_constructors_validate():
         PrincipalSeries(-1, 0)
     with pytest.raises(ValueError):
         SteinbergTwist(-1)
-    assert Supercuspidal(3, 2).effective_conductor == 4
+    assert Supercuspidal(3, 2).conductor() == 4
 
 
 def test_dim_gl2_level_zero():

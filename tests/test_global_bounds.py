@@ -4,11 +4,11 @@ import pytest
 
 from padic_fixvec.global_bounds import (
     MAX_N,
-    BoundsResult,
     GlobalLevel,
     factorize,
     local_conductor_window,
 )
+from padic_fixvec.representations import ConductorWindow, conductor_window
 
 
 @pytest.mark.parametrize("N,pairs", [
@@ -64,19 +64,14 @@ def test_global_level_validation():
     (1, 100, 10, 100),
 ])
 def test_conductor_bounds(n, N, lower, upper):
-    assert GlobalLevel(N).conductor_bounds(n) == BoundsResult(lower, upper)
+    bounds = GlobalLevel(N).conductor_bounds(n)
+    assert bounds == ConductorWindow(lower, upper)
+    assert str(bounds) == f"[{lower}, {upper}]"
 
 
 def test_conductor_bounds_domain():
     with pytest.raises(ValueError):
         GlobalLevel(12).conductor_bounds(0)
-
-
-def test_bounds_result_validation():
-    with pytest.raises(ValueError):
-        BoundsResult(5, 4)
-    with pytest.raises(ValueError):
-        BoundsResult(0, 4)
 
 
 @pytest.mark.parametrize("n,e_p,window", [
@@ -85,7 +80,9 @@ def test_bounds_result_validation():
     (2, 4, (3, 8)),
 ])
 def test_local_conductor_window(n, e_p, window):
-    assert local_conductor_window(n, e_p) == window
+    local = local_conductor_window(n, e_p)
+    assert (local.lo, local.hi) == window
+    assert str(local) == str(list(window))
 
 
 def test_local_conductor_window_domain():
@@ -102,10 +99,23 @@ def test_lower_bound_brackets_every_admissible_exponent_product():
         for N in (2, 12, 60, 360, 1024):
             level = GlobalLevel(N)
             bounds = level.conductor_bounds(n)
-            assert bounds.lower <= N <= bounds.upper
+            assert bounds.contains(N)
             for pick in ("lo", "hi"):
                 prod = 1
                 for p, e in level.factorization:
-                    lo, hi = local_conductor_window(n, e)
-                    prod *= p ** (lo if pick == "lo" else hi)
-                assert bounds.lower <= prod <= bounds.upper
+                    window = local_conductor_window(n, e)
+                    prod *= p ** getattr(window, pick)
+                assert bounds.lo <= prod <= bounds.hi
+
+
+def test_sharp_window_lies_in_the_paper_window():
+    # The sharp generic window [e, e*n] of minimal level e sits inside the
+    # paper's local window [max(e - 1, 1), e*n] with the same upper edge,
+    # and the square-integrable window inside the generic one.
+    for n in range(1, 5):
+        for e in range(1, 9):
+            sharp = conductor_window(n, e)
+            paper = local_conductor_window(n, e)
+            single = conductor_window(n, e, square_integrable=True)
+            assert paper.lo <= sharp.lo and sharp.hi == paper.hi
+            assert sharp.lo <= single.lo and single.hi == sharp.hi

@@ -100,25 +100,35 @@ def test_criteria_agree_on_a_grid():
 
 def test_conductor_window_esi():
     window = conductor_window(2, 2, square_integrable=True)
-    assert (window.lo_exclusive, window.hi_inclusive) == (2, 4)
-    assert window.variant == "square-integrable"
+    assert (window.lo, window.hi) == (3, 4)
     assert not window.contains(2)
     assert window.contains(3) and window.contains(4)
     assert not window.contains(5)
-    assert str(window) == "(2, 4] [square-integrable]"
+    assert str(window) == "[3, 4]"
 
 
 def test_conductor_window_generic():
     window = conductor_window(3, 1)
-    assert (window.lo_exclusive, window.hi_inclusive) == (0, 3)
-    assert window.variant == "generic"
+    assert (window.lo, window.hi) == (1, 3)
+    assert str(window) == "[1, 3]"
+    assert conductor_window(1, 1).contains(1)
 
 
 def test_conductor_window_level_zero():
-    window = conductor_window(2, 0)
-    assert window.contains(0)
-    assert not window.contains(1)
-    assert "{0}" in str(window)
+    for square_integrable in (False, True):
+        window = conductor_window(2, 0, square_integrable)
+        assert window.contains(0)
+        assert not window.contains(1)
+        assert str(window) == "[0, 0]"
+
+
+def test_conductor_window_validation():
+    # Edges are conductors, so the lower one may be 0 but never negative.
+    assert ConductorWindow(0, 0).contains(0)
+    with pytest.raises(ValueError):
+        ConductorWindow(-1, 4)
+    with pytest.raises(ValueError):
+        ConductorWindow(5, 4)
 
 
 @pytest.mark.parametrize("c,expected", [
