@@ -30,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, astuple, dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -153,7 +154,7 @@ def load_spec(argument: str) -> ParsedSpec:
     stripped = argument.strip()
     if stripped.startswith("{"):
         text = stripped
-    elif os.path.exists(argument):
+    elif os.path.isfile(argument):
         with open(argument, encoding="utf-8") as handle:
             text = handle.read()
     else:
@@ -162,8 +163,11 @@ def load_spec(argument: str) -> ParsedSpec:
         )
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep
         raise SpecError(f"spec: invalid JSON ({exc})") from exc
+    except ValueError:  # an integer literal that int() refuses to read
+        raise SpecError("spec: an integer has more digits than the"
+                        " interpreter's printing limit") from None
     return parse_spec(data)
 
 
@@ -192,17 +196,13 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
 
 
-def _print_table(rows: list[tuple[str, object]]) -> None:
-    width = max(len(key) for key, _ in rows)
-    for key, value in rows:
-        print(f"{key.ljust(width)}  {value}")
-
-
 def _emit(args, payload: dict, rows: list[tuple[str, object]]) -> int:
     if args.json:
         _print_json(payload)
     else:
-        _print_table(rows)
+        width = max(len(key) for key, _ in rows)
+        for key, value in rows:
+            print(f"{key.ljust(width)}  {value}")
     return EXIT_OK
 
 
@@ -213,36 +213,54 @@ def _maybe_emit_spec(args, parsed: ParsedSpec) -> bool:
     return False
 
 
-def _digit_limit() -> int:
-    """The interpreter's integer printing limit; 0 (none) before 3.10.7."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# kirillov-basis refuses a level r at which q**r has more than this // r
+# digits: its r + 1 groups would print about r*r*log10(q) digits in all.
+KIRILLOV_DIGITS = 5 * 10**6
+
+
+def _has_more_digits(q: int, k: int, digits: int) -> bool:
+    """Whether q**k (q >= 0) has more than `digits` decimal digits. It
+    computes q**k only when bit lengths leave the answer open: with
+    b = q.bit_length(), 2**(k*(b-1)) <= q**k < 2**(k*b) for k >= 1, which
+    also holds at q = 1, and 2**(3*digits) <= 10**digits < 2**(3.4*digits)."""
+    b = q.bit_length()
+    if k * b < 3 * digits:
+        return False
+    if 10 * k * (b - 1) > 34 * digits:
+        return True
+    return q**k >= 10**digits
+
+
+def _refuse_past(base: int, exp: int, cause: str, digits=None,
+                 limit: str = "the interpreter's printing limit") -> None:
+    """Refuse an answer of at least base**exp (a lower bound, checked before
+    the answer is computed, or the answer itself) of more than `digits`
+    digits: by default the interpreter's printing limit, or 4,300 where it
+    sets none. `cause` names the input that drives the answer's size."""
+    if digits is None:
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if _has_more_digits(base, exp, digits):
+        raise SpecError(f"{cause} of more than {digits} digits, past {limit}")
 
 
 def _printable_q(field: LocalFieldParams) -> int:
-    """q = p**f, refused before it is computed when it cannot be printed."""
-    limit = _digit_limit()
-    if limit and _has_more_digits(field.p, field.f, limit):
-        raise SpecError(f"field.f: {field.f} gives q = p**f of more than"
-                        f" {limit} digits, past the interpreter's printing limit")
+    _refuse_past(field.p, field.f, f"field.f: {field.f} gives q = p**f")
     return field.q
 
 
-def _too_long(m: int, field: LocalFieldParams, what: str) -> SpecError:
-    return SpecError(f"level: {m} gives {what} of more than {_digit_limit()} digits"
-                     f" at field.f = {field.f}, past the interpreter's printing limit")
-
-
 def _dim_rows(rep, field: LocalFieldParams, m: int) -> list[tuple[str, object]]:
-    q, limit = _printable_q(field), _digit_limit()
-    # A nonzero dimension at a level m >= 2 is at least q**(m-2), so it is
-    # refused before it is computed; a single GL_1 block's is at most 1.
-    gl1 = isinstance(rep, GenericRepresentation) and rep.n == 1
-    if (limit and not gl1 and max(2, rep.min_level()) <= m
-            and _has_more_digits(q, m - 2, limit)):
-        raise _too_long(m, field, "a dimension")
+    """Refused when the dimension cannot be printed: from a lower bound before
+    it is computed, then from itself. Below min_level it is 0. From there on,
+    a GL_2 type's is at least q**(m-2), and an induced rep's at least its
+    coset index, which is at least q**(m*d) with d = sum_{i<j} n_i*n_j."""
+    q = _printable_q(field)
+    cause = f"level: {m} gives a dimension at field.f = {field.f}"
+    exp = (m * (rep.n**2 - sum(k * k for k in rep.partition)) // 2
+           if isinstance(rep, GenericRepresentation) else m - 2)
+    if m >= rep.min_level():
+        _refuse_past(q, exp, cause)
     dimension = rep.dim(q, m)
-    if limit and dimension >= 10**limit:
-        raise _too_long(m, field, "a dimension")
+    _refuse_past(dimension, 1, cause)
     return [("dimension", dimension), ("level", m), ("q", q),
             ("branch", rep.dim_branch)]
 
@@ -252,6 +270,12 @@ def _has_fixed_rows(rep, field: LocalFieldParams, m: int) -> list[tuple[str, obj
         raise SpecError(f"level must be >= 0, got {m}")
     return [("has_fixed_vector", m >= rep.min_level()), ("level", m),
             ("q", _printable_q(field))]
+
+
+def _conductor_rows(rep, *_) -> list[tuple[str, object]]:
+    conductor = rep.conductor()  # a sum, or twice a twist conductor
+    _refuse_past(conductor, 1, "rep: its conductors give a conductor")
+    return [("conductor", conductor), ("convention", rep.conductor_convention)]
 
 
 class Query(NamedTuple):
@@ -269,8 +293,7 @@ QUERIES = {
                                               ("q", _printable_q(field))]),
     # conductor and depth neither compute nor print q: they answer for any f.
     "conductor": Query("conductor of the represented data", False,
-                       lambda rep, *_: [("conductor", rep.conductor()),
-                                        ("convention", rep.conductor_convention)]),
+                       _conductor_rows),
     "depth": Query("depth, printed as an exact fraction", False,
                    lambda rep, *_: [("depth", str(rep.depth()))]),
 }
@@ -291,10 +314,7 @@ def cmd_query(args) -> int:
 
 def cmd_global_bounds(args) -> int:
     level = GlobalLevel(args.level_N)
-    limit = _digit_limit()
-    if limit and level.N > 1 and _has_more_digits(level.N, args.n, limit):
-        raise SpecError(f"--n: {args.n} gives an upper bound N**n of more than"
-                        f" {limit} digits, past the interpreter's printing limit")
+    _refuse_past(level.N, args.n, f"--n: {args.n} gives an upper bound N**n")
     bounds = level.conductor_bounds(args.n)
     windows = [(p, e, local_conductor_window(args.n, e))
                for p, e in level.factorization]
@@ -321,15 +341,6 @@ def cmd_global_bounds(args) -> int:
     return _emit(args, payload, rows)
 
 
-def _has_more_digits(q: int, k: int, digits: int) -> bool:
-    """Whether q**k (q >= 2, k >= 0) has more than `digits` decimal digits,
-    without computing q**k when it is far larger than that."""
-    bound = 10**digits
-    if k * q.bit_length() > 2 * bound.bit_length():
-        return True  # q**k >= 2**(k * (bit_length - 1)) > bound
-    return q**k >= bound
-
-
 def cmd_kirillov_basis(args) -> int:
     parsed = load_spec(args.spec)
     if _maybe_emit_spec(args, parsed):
@@ -343,39 +354,30 @@ def cmd_kirillov_basis(args) -> int:
             " supercuspidals only (twist_conductor 0); twisted conductors of"
             " individual classes are not determined by conductors alone"
         )
-    q, r, limit = _printable_q(parsed.field), args.level, _digit_limit()
-    # For s <= 2r the twist conductor r group alone counts at least
-    # q**(r-2) functions. Refuse a count that cannot be printed before
-    # building the groups, which at such levels take seconds and ~100 MB.
-    if limit and 2 <= r and rep.s <= 2 * r and _has_more_digits(q, r - 2, limit):
-        raise _too_long(r, parsed.field, "Kirillov basis counts")
+    # The counts sum to dim's answer, so dim's refusals cover them (there are
+    # no groups at a negative level). Groups are built only below the cap.
+    r = args.level
+    _dim_rows(rep, parsed.field, max(r, 0))
+    q = parsed.field.q
+    _refuse_past(q, r, f"level: {r} gives Kirillov basis groups with counts"
+                 f" near q**{r}", KIRILLOV_DIGITS // max(r, 1),
+                 f"the kirillov-basis cap of {KIRILLOV_DIGITS} digits in all")
     groups = [
         {"twist_conductor": i, "num_classes": classes, "support_min": lo,
          "support_max": hi, "count": classes * (hi - lo + 1)}
         for i, classes, lo, hi in kirillov_groups(q, rep.s, args.c_psi, r)
     ]
+    if groups:  # supports run from the first group's minimum to a common maximum
+        _refuse_past(max(-groups[0]["support_min"], groups[0]["support_max"]),
+                     1, f"--c-psi: {args.c_psi} gives support orders")
     dimension = sum(g["count"] for g in groups)
-    if limit and dimension >= 10**limit:  # no count exceeds the dimension
-        raise _too_long(r, parsed.field, "Kirillov basis counts")
-    payload = {
-        "c_psi": args.c_psi,
-        "dimension": dimension,
-        "groups": groups,
-        "level": r,
-        "q": q,
-    }
-    rows: list[tuple[str, object]] = [
-        ("dimension", dimension), ("level", r),
-        ("q", q), ("c_psi", args.c_psi),
-    ]
-    for g in groups:
-        rows.append((
-            f"twist conductor {g['twist_conductor']}",
-            f"classes {g['num_classes']}, supports "
-            f"[{g['support_min']}..{g['support_max']}], count {g['count']}",
-        ))
-    if not groups:
-        rows.append(("basis", "(empty)"))
+    payload = {"c_psi": args.c_psi, "dimension": dimension, "groups": groups,
+               "level": r, "q": q}
+    rows = [("dimension", dimension), ("level", r), ("q", q), ("c_psi", args.c_psi)]
+    rows += [(f"twist conductor {g['twist_conductor']}",
+              f"classes {g['num_classes']}, supports"
+              f" [{g['support_min']}..{g['support_max']}], count {g['count']}")
+             for g in groups] or [("basis", "(empty)")]
     return _emit(args, payload, rows)
 
 
@@ -474,13 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (SpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        # A library warning is one line, not the location that raised it.
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -6,12 +6,13 @@ depth() and dim(q, m), as GenericRepresentation does, and raises
 ValueError where it has no answer.
 
 Principal series and twisted Steinberg dimensions are single closed forms
-in their dim methods. Supercuspidal dimensions are computed three
-independent ways that must agree: the minimal-conductor closed form, the
-twist-class lattice sum, and a literal enumeration of the Whittaker/
-Kirillov basis functions supported on single valuation shells. Non-minimal
-supercuspidals reduce to the minimal member of their twist orbit, whose
-conductor interacts with a twisting character through c = max(s, 2*c_chi).
+in their dim methods. Minimal supercuspidal dimensions are computed three
+ways that must agree, but not independently: the twist-class lattice sum
+and the count of Whittaker/Kirillov basis functions on single valuation
+shells are one sum, twist class conductor i adding num_classes_exact(q, i)
+* (2r - c_i + 1), and the minimal-conductor closed form is that sum summed.
+Non-minimal supercuspidals reduce to the minimal member of their twist
+orbit, whose conductor meets a twisting character in c = max(s, 2*c_chi).
 """
 
 from dataclasses import dataclass

@@ -8,7 +8,7 @@ Four suites, each pure and deterministic:
   under partition refinement.
 - characters: unit-dual conductor histograms against the discrete-log
   oracle and the class-count closed forms.
-- supercuspidal: the three independent GL_2 dimension computations, the
+- supercuspidal: the three GL_2 dimension computations (one sum), the
   minimal-level values, twist invariance, the principal-series/Steinberg
   exact-sequence identity, monotonicity, and vanishing thresholds.
 - windows: conductor/depth/level criteria for induced representations,

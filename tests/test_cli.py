@@ -20,7 +20,10 @@ from padic_fixvec.cli import (
     parse_spec,
     spec_to_dict,
 )
+from padic_fixvec.cosets import parabolic_index_closed
 from padic_fixvec.finite_ring import PRIME_CAP
+from padic_fixvec.gl2_dims import PrincipalSeries, SteinbergTwist, Supercuspidal
+from padic_fixvec.representations import GenericRepresentation
 
 PS_00 = '{"field": {"p": 3}, "rep": {"type": "principal-series", "c1": 0, "c2": 0}}'
 SC_33 = (
@@ -307,8 +310,145 @@ def test_kirillov_basis_refuses_counts_just_past_the_limit(capsys):
 
 
 def test_has_more_digits_is_exact():
-    for q, k in itertools.product((2, 3, 4, 7, 10007), range(0, 1000, 7)):
+    for q, k in itertools.product((1, 2, 3, 4, 7, 10007), range(0, 1000, 7)):
         assert _has_more_digits(q, k, 300) is (len(str(q**k)) > 300)
+
+
+def _refused_quickly(capsys, argv, names):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ") and names in err
+    assert "Exceeds the limit" not in err
+    assert elapsed < 1
+    return err
+
+
+LIMIT_OFF_INPUTS = [
+    (["global-bounds", "--n", "100000000", "--level-N", "51"], "--n:"),
+    (["dim", _spec(2, {"type": "supercuspidal", "minimal_conductor": 5}),
+      "--level", "100000"], "level:"),
+    (["min-level", _spec(3, ST_1, f=10**8)], "field.f:"),
+]
+
+
+@pytest.fixture
+def digit_limit_off():
+    """The interpreter's printing limit set to 0 (none), restored afterwards;
+    before Python 3.10.7 there is no limit to switch off."""
+    get = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    saved = get()
+    set_limit(0)
+    yield
+    set_limit(saved)
+
+
+@pytest.mark.parametrize("argv,names", LIMIT_OFF_INPUTS)
+def test_refusals_fall_back_to_4300_digits_without_a_limit(
+        capsys, digit_limit_off, argv, names):
+    assert "4300" in _refused_quickly(capsys, argv, names)
+
+
+@pytest.mark.parametrize("blocks", [1000, 2000])
+def test_induced_dimension_refused_by_its_coset_index(capsys, blocks):
+    spec = _spec(2, {"type": "induced",
+                     "blocks": [{"n": 1, "conductor": 0}] * blocks})
+    _refused_quickly(capsys, ["dim", spec, "--level", "2"], "level: 2 gives")
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_coset_index_bound_is_a_lower_bound(n):
+    # The dim refusal bounds an induced rep by q**(m*d), d = sum_{i<j}
+    # n_i*n_j: below the coset index of every composition of n, and below
+    # the dimension of every rep with n GL_1 blocks.
+    compositions = [c for k in range(1, n + 1)
+                    for c in itertools.product(range(1, n + 1), repeat=k)
+                    if sum(c) == n]
+    for parts, q, m in itertools.product(
+            compositions, (2, 3, 4, 5, 7, 8, 9), range(1, 7)):
+        d = sum(a * b for a, b in itertools.combinations(parts, 2))
+        assert q ** (m * d) <= parabolic_index_closed(parts, q, m)
+    gl1 = GenericRepresentation.from_pairs([(1, 0)] * n)
+    for q, m in itertools.product((2, 3, 4, 5, 7, 8, 9), range(1, 7)):
+        assert q ** (m * n * (n - 1) // 2) <= gl1.dim(q, m)
+
+
+def test_gl2_dimension_bound_is_a_lower_bound():
+    # ... and a GL_2 type's nonzero dimension at level m >= 2 by q**(m-2).
+    reps = [PrincipalSeries(c1, c2) for c1 in range(4) for c2 in range(4)]
+    reps += [SteinbergTwist(c) for c in range(4)]
+    reps += [Supercuspidal(s, c) for s in range(2, 9) for c in range(5)]
+    for rep, q, m in itertools.product(reps, (2, 3, 4, 5, 7, 8, 9), range(2, 9)):
+        if m >= rep.min_level():
+            assert q ** (m - 2) <= rep.dim(q, m)
+
+
+@pytest.mark.parametrize("p,s,level", [(2, 7, 14283), (3, 7, 9000),
+                                       (2, 10**10, 10**9)])
+def test_kirillov_basis_caps_its_whole_output(capsys, p, s, level):
+    # Each count fits the printing limit at s = 7, but all groups together
+    # would print tens of millions of digits. At s > 2 * level there are no
+    # groups, and the cap keeps short the pass over the twist conductors.
+    spec = _spec(p, {"type": "supercuspidal", "minimal_conductor": s})
+    argv = ["kirillov-basis", spec, "--level", str(level), "--json"]
+    err = _refused_quickly(capsys, argv, f"level: {level} gives")
+    assert "cap of 5000000 digits" in err
+
+
+@pytest.mark.parametrize("p,level", [(2, 1600), (30000000000011, 280)])
+def test_kirillov_basis_answers_below_its_cap(capsys, p, level):
+    payload = run_json(capsys, ["kirillov-basis", _spec(p, SC_7),
+                                "--level", str(level)])
+    assert payload["dimension"] == Supercuspidal(7).dim(p, level)
+
+
+def test_kirillov_basis_refuses_unprintable_support_orders(capsys):
+    big = "9" * 4299
+    spec = _spec(3, {"type": "supercuspidal", "minimal_conductor": 2})
+    assert run_json(capsys, ["kirillov-basis", spec, "--level", "2",
+                             "--c-psi", big])["c_psi"] == int(big)
+    _refused_quickly(capsys, ["kirillov-basis", spec, "--level", "2",
+                              "--c-psi", "9" * 4300], "--c-psi:")
+    # Without groups no support order is printed.
+    spec = _spec(3, {"type": "supercuspidal", "minimal_conductor": 9})
+    assert run_json(capsys, ["kirillov-basis", spec, "--level", "2",
+                             "--c-psi", "9" * 4300])["groups"] == []
+
+
+def test_unprintable_conductor_is_refused(capsys):
+    big = "9" * 4300
+    twisted = _spec(3, {"type": "supercuspidal", "minimal_conductor": 2,
+                        "twist_conductor": int(big)})
+    _refused_quickly(capsys, ["conductor", twisted], "rep:")
+    assert run_json(capsys, ["depth", twisted])["depth"] == str(int(big) - 1)
+
+
+def test_integer_past_the_printing_limit_in_a_spec(capsys):
+    spec = '{"field": {"p": 3}, "rep": {"type": "steinberg-twist", "c_chi": %s}}'
+    _refused_quickly(capsys, ["min-level", spec % ("9" * 4301)], "spec:")
+
+
+def test_deeply_nested_spec_is_invalid_json(capsys):
+    nested = '{"field": ' + "[" * 3000 + "]" * 3000 + ', "rep": {}}'
+    _refused_quickly(capsys, ["dim", nested, "--level", "2"],
+                     "spec: invalid JSON (")
+
+
+def test_library_warning_is_one_line(capsys):
+    spec = _spec(3, {"type": "induced", "blocks": [{"n": 2, "conductor": 0}]})
+    assert main(["conductor", spec]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("conductor   0\n")
+    assert err == ("warning: block GL_2 with conductor 0 is implausible for a"
+                   " square-integrable factor; accepted anyway\n")
+
+
+def test_a_directory_is_not_a_spec_file(capsys, tmp_path):
+    err = run_err(capsys, ["min-level", str(tmp_path)])
+    assert "neither an existing file nor inline JSON" in err
 
 
 def test_verify_single_suite(capsys):
