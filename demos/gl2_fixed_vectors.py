@@ -10,8 +10,8 @@ from padic_fixvec import (
     Supercuspidal,
     dim_supercuspidal_lattice,
     dim_supercuspidal_minimal,
-    kirillov_basis,
     kirillov_basis_count,
+    kirillov_groups,
 )
 
 
@@ -57,13 +57,12 @@ def main() -> None:
     print()
 
     s, m = 3, 2
-    print(f"The Kirillov-model basis behind the count for s={s}, m={m}:")
-    for element in kirillov_basis(q, s, 0, m):
-        lam = element.character
+    print(f"The Kirillov-model basis behind the count for s={s}, m={m}: each")
+    print("twist class of conductor i gives one function per support order.")
+    for i, classes, lo, hi in kirillov_groups(q, s, 0, m):
         print(
-            f"  twist class (conductor {lam.conductor},"
-            f" index {lam.class_index}) supported on the"
-            f" valuation-({-element.m_support}) shell"
+            f"  twist conductor {i}: classes {classes}, support orders"
+            f" {lo}..{hi}, count {classes * (hi - lo + 1)}"
         )
 
 

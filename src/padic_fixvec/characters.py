@@ -1,13 +1,12 @@
 """Quasi-characters of a p-adic multiplicative group, up to unramified twist.
 
-A twist class is carried entirely by its conductor and a class index: none
-of the implemented formulas ever needs character values. The class counts
-per conductor have closed forms; the oracle enumerates the full dual of
-(Z/p^r)^x additively (exponent vectors against fixed generators, no complex
-arithmetic) and recomputes each conductor from discrete logs.
+None of the implemented formulas needs character values, only the number
+of twist classes of each conductor. Those counts have closed forms; the
+oracle enumerates the full dual of (Z/p^r)^x additively (exponent vectors
+against fixed generators, no complex arithmetic) and recomputes each
+conductor from discrete logs.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
@@ -37,32 +36,6 @@ def num_classes_upto(q: int, r: int) -> int:
     if r < 0:
         raise ValueError(f"conductor bound must be >= 0, got {r}")
     return sum(num_classes_exact(q, i) for i in range(r + 1))
-
-
-@dataclass(frozen=True)
-class QuasiCharacterClass:
-    """An unramified-twist class, identified by conductor and class index.
-
-    The index enumerates the classes of that exact conductor; its admissible
-    range depends on the ambient residue cardinality, checked by validate().
-    """
-
-    conductor: int
-    class_index: int = 0
-
-    def __post_init__(self):
-        if self.conductor < 0:
-            raise ValueError(f"conductor must be >= 0, got {self.conductor}")
-        if self.class_index < 0:
-            raise ValueError(f"class index must be >= 0, got {self.class_index}")
-
-    def validate(self, q: int) -> None:
-        bound = num_classes_exact(q, self.conductor)
-        if self.class_index >= bound:
-            raise ValueError(
-                f"class index {self.class_index} out of range: only {bound} "
-                f"classes of conductor {self.conductor} exist for q={q}"
-            )
 
 
 def _primitive_root(p: int, r: int) -> int:

@@ -8,8 +8,11 @@ human-readable key/value listing or, with --json, a canonical JSON object
 The five spec queries (dim, has-fixed, min-level, conductor, depth) are one
 command driven by the QUERIES table: each entry asks the representation's
 own methods and returns ordered (key, value) rows, from which both outputs
-are built. GL2_SPECS maps each GL_2 spec type to its class and fields, for
-parse_spec and spec_to_dict alike.
+are built. SPECS maps each spec type to its class and to how its "rep"
+object is read and written, for parse_spec and spec_to_dict alike. Every
+representation is a representations.Representation, so no query asks its
+type: even the size guard reads the dimension's lower bound
+q**rep.dim_exponent(m) from the representation.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 
@@ -32,19 +35,13 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, astuple, dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from .budget import parse_budget
 from .finite_ring import PRIME_CAP, LocalFieldParams
-from .gl2_dims import (
-    GL2Representation,
-    PrincipalSeries,
-    SteinbergTwist,
-    Supercuspidal,
-    kirillov_groups,
-)
+from .gl2_dims import PrincipalSeries, SteinbergTwist, Supercuspidal, kirillov_groups
 from .global_bounds import GlobalLevel, local_conductor_window
-from .representations import GenericRepresentation
+from .representations import GenericRepresentation, Representation
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -58,18 +55,7 @@ class SpecError(ValueError):
 @dataclass(frozen=True)
 class ParsedSpec:
     field: LocalFieldParams
-    rep: Union[GenericRepresentation, GL2Representation]
-
-
-# Spec type -> (class, (JSON key, minimum, default) for each dataclass field
-# in declaration order). A default of None makes the key required.
-GL2_SPECS = {
-    "principal-series": (PrincipalSeries, (("c1", 0, None), ("c2", 0, None))),
-    "steinberg-twist": (SteinbergTwist, (("c_chi", 0, None),)),
-    "supercuspidal": (Supercuspidal, (
-        ("minimal_conductor", 2, None), ("twist_conductor", 0, 0),
-    )),
-}
+    rep: Representation
 
 
 def _as_object(value, path: str) -> dict:
@@ -99,6 +85,54 @@ def _reject_extra_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise SpecError(f"{path}: unexpected key(s) {', '.join(extra)}")
 
 
+def _parse_induced(rep_obj: dict) -> GenericRepresentation:
+    _reject_extra_keys(rep_obj, {"type", "blocks"}, "rep")
+    blocks = rep_obj.get("blocks")
+    if not isinstance(blocks, list) or not blocks:
+        raise SpecError("rep.blocks: expected a nonempty array")
+    pairs = []
+    for i, block in enumerate(blocks):
+        path = f"rep.blocks[{i}]"
+        block_obj = _as_object(block, path)
+        _reject_extra_keys(block_obj, {"n", "conductor"}, path)
+        pairs.append((_get_int(block_obj, "n", path, minimum=1),
+                      _get_int(block_obj, "conductor", path, minimum=0)))
+    return GenericRepresentation.from_pairs(pairs)
+
+
+class SpecType(NamedTuple):
+    cls: type
+    parse: Callable  # the "rep" object -> the representation
+    dump: Callable  # the representation -> its keys besides "type"
+
+
+def _int_fields(cls, *fields) -> SpecType:
+    """The spec type of a class built from integers: (JSON key, minimum,
+    default) for each dataclass field in declaration order. A default of
+    None makes the key required."""
+    keys = [key for key, _, _ in fields]
+
+    def parse(rep_obj: dict):
+        _reject_extra_keys(rep_obj, {"type", *keys}, "rep")
+        return cls(*(_get_int(rep_obj, key, "rep", minimum, default)
+                     for key, minimum, default in fields))
+
+    return SpecType(cls, parse, lambda rep: dict(zip(keys, astuple(rep))))
+
+
+SPECS = {
+    "induced": SpecType(GenericRepresentation, _parse_induced, lambda rep: {
+        "blocks": [{"n": b.n, "conductor": b.conductor} for b in rep.blocks],
+    }),
+    "principal-series": _int_fields(PrincipalSeries, ("c1", 0, None),
+                                    ("c2", 0, None)),
+    "steinberg-twist": _int_fields(SteinbergTwist, ("c_chi", 0, None)),
+    "supercuspidal": _int_fields(Supercuspidal, ("minimal_conductor", 2, None),
+                                 ("twist_conductor", 0, 0)),
+}
+SPEC_NAMES = {spec.cls: name for name, spec in SPECS.items()}
+
+
 def parse_spec(data) -> ParsedSpec:
     """Validate a decoded spec object and build the in-memory representation."""
     root = _as_object(data, "spec")
@@ -122,31 +156,12 @@ def parse_spec(data) -> ParsedSpec:
 
     rep_obj = _as_object(root["rep"], "rep")
     rep_type = rep_obj.get("type")
-    if rep_type == "induced":
-        _reject_extra_keys(rep_obj, {"type", "blocks"}, "rep")
-        blocks = rep_obj.get("blocks")
-        if not isinstance(blocks, list) or not blocks:
-            raise SpecError("rep.blocks: expected a nonempty array")
-        pairs = []
-        for i, block in enumerate(blocks):
-            block_obj = _as_object(block, f"rep.blocks[{i}]")
-            _reject_extra_keys(block_obj, {"n", "conductor"}, f"rep.blocks[{i}]")
-            pairs.append((
-                _get_int(block_obj, "n", f"rep.blocks[{i}]", minimum=1),
-                _get_int(block_obj, "conductor", f"rep.blocks[{i}]", minimum=0),
-            ))
-        return ParsedSpec(field, GenericRepresentation.from_pairs(pairs))
-    if rep_type in GL2_SPECS:
-        cls, fields = GL2_SPECS[rep_type]
-        _reject_extra_keys(rep_obj, {"type", *(key for key, _, _ in fields)}, "rep")
-        return ParsedSpec(field, cls(*(
-            _get_int(rep_obj, key, "rep", minimum, default)
-            for key, minimum, default in fields
-        )))
-    raise SpecError(
-        f"rep.type: expected one of {', '.join(['induced', *GL2_SPECS])};"
-        f" got {json.dumps(rep_type)}"
-    )
+    # A type that is not a string, even an unhashable one, is no spec type.
+    spec = SPECS.get(rep_type) if isinstance(rep_type, str) else None
+    if spec is None:
+        raise SpecError(f"rep.type: expected one of {', '.join(SPECS)};"
+                        f" got {json.dumps(rep_type)}")
+    return ParsedSpec(field, spec.parse(rep_obj))
 
 
 def load_spec(argument: str) -> ParsedSpec:
@@ -173,23 +188,9 @@ def load_spec(argument: str) -> ParsedSpec:
 
 def spec_to_dict(parsed: ParsedSpec) -> dict:
     """Canonical JSON form of a parsed spec; reparsing it reproduces parsed."""
-    rep = parsed.rep
-    if isinstance(rep, GenericRepresentation):
-        rep_obj = {
-            "type": "induced",
-            "blocks": [
-                {"n": b.n, "conductor": b.conductor} for b in rep.blocks
-            ],
-        }
-    else:
-        rep_type, fields = next(
-            (name, fields) for name, (cls, fields) in GL2_SPECS.items()
-            if isinstance(rep, cls)
-        )
-        rep_obj = {"type": rep_type, **{
-            key: value for (key, _, _), value in zip(fields, astuple(rep))
-        }}
-    return {"field": {"p": parsed.field.p, "f": parsed.field.f}, "rep": rep_obj}
+    name = SPEC_NAMES[type(parsed.rep)]
+    return {"field": {"p": parsed.field.p, "f": parsed.field.f},
+            "rep": {"type": name, **SPECS[name].dump(parsed.rep)}}
 
 
 def _print_json(payload) -> None:
@@ -248,17 +249,15 @@ def _printable_q(field: LocalFieldParams) -> int:
     return field.q
 
 
-def _dim_rows(rep, field: LocalFieldParams, m: int) -> list[tuple[str, object]]:
-    """Refused when the dimension cannot be printed: from a lower bound before
-    it is computed, then from itself. Below min_level it is 0. From there on,
-    a GL_2 type's is at least q**(m-2), and an induced rep's at least its
-    coset index, which is at least q**(m*d) with d = sum_{i<j} n_i*n_j."""
+def _dim_rows(rep: Representation, field: LocalFieldParams,
+              m: int) -> list[tuple[str, object]]:
+    """Refused when the dimension cannot be printed: from its lower bound
+    q**rep.dim_exponent(m) before it is computed, then from itself. Below
+    min_level the dimension is 0, and from there on the bound holds."""
     q = _printable_q(field)
     cause = f"level: {m} gives a dimension at field.f = {field.f}"
-    exp = (m * (rep.n**2 - sum(k * k for k in rep.partition)) // 2
-           if isinstance(rep, GenericRepresentation) else m - 2)
     if m >= rep.min_level():
-        _refuse_past(q, exp, cause)
+        _refuse_past(q, rep.dim_exponent(m), cause)
     dimension = rep.dim(q, m)
     _refuse_past(dimension, 1, cause)
     return [("dimension", dimension), ("level", m), ("q", q),
@@ -373,6 +372,9 @@ def cmd_kirillov_basis(args) -> int:
     dimension = sum(g["count"] for g in groups)
     payload = {"c_psi": args.c_psi, "dimension": dimension, "groups": groups,
                "level": r, "q": q}
+    if args.json:  # at large levels the table rows are slow to build
+        _print_json(payload)
+        return EXIT_OK
     rows = [("dimension", dimension), ("level", r), ("q", q), ("c_psi", args.c_psi)]
     rows += [(f"twist conductor {g['twist_conductor']}",
               f"classes {g['num_classes']}, supports"

@@ -1,24 +1,25 @@
 """Fixed-vector dimensions for irreducible representations of GL_2.
 
 The entry points are the three representation types PrincipalSeries,
-SteinbergTwist and Supercuspidal. Each answers conductor(), min_level(),
-depth() and dim(q, m), as GenericRepresentation does, and raises
-ValueError where it has no answer.
+SteinbergTwist and Supercuspidal. Each is a representations.Representation,
+as GenericRepresentation is: it answers conductor(), min_level(), depth(),
+dim(q, m) and dim_exponent(m), and raises ValueError where it has no answer.
 
 Principal series and twisted Steinberg dimensions are single closed forms
 in their dim methods. Minimal supercuspidal dimensions are computed three
 ways that must agree, but not independently: the twist-class lattice sum
-and the count of Whittaker/Kirillov basis functions on single valuation
-shells are one sum, twist class conductor i adding num_classes_exact(q, i)
-* (2r - c_i + 1), and the minimal-conductor closed form is that sum summed.
-Non-minimal supercuspidals reduce to the minimal member of their twist
-orbit, whose conductor meets a twisting character in c = max(s, 2*c_chi).
+and the count of Kirillov functions grouped by kirillov_groups are one
+sum, twist class conductor i adding num_classes_exact(q, i) * (2r - c_i + 1),
+and the minimal-conductor closed form is that sum summed, in O(1) big-int
+operations. Non-minimal supercuspidals reduce to the minimal member of
+their twist orbit, whose conductor meets a twisting character in
+c = max(s, 2*c_chi).
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
-from .characters import QuasiCharacterClass, num_classes_exact
+from .characters import num_classes_exact
 from .representations import DepthValue, depth_supercuspidal_gl2
 
 _NO_DEPTH = (
@@ -27,8 +28,19 @@ _NO_DEPTH = (
 )
 
 
+class _GL2:
+    """What the GL_2 types share: no depth unless a type gives one, and
+    from min_level on a dimension of at least q**(m-2)."""
+
+    def depth(self) -> DepthValue:
+        raise ValueError(_NO_DEPTH)
+
+    def dim_exponent(self, m: int) -> int:
+        return m - 2
+
+
 @dataclass(frozen=True)
-class PrincipalSeries:
+class PrincipalSeries(_GL2):
     """Irreducible principal series, carried by its two twist conductors."""
 
     c1: int
@@ -47,9 +59,6 @@ class PrincipalSeries:
     def min_level(self) -> int:
         return max(self.c1, self.c2)
 
-    def depth(self) -> DepthValue:
-        raise ValueError(_NO_DEPTH)
-
     def dim(self, q: int, m: int) -> int:
         """At level m >= 1, q**(m-1) * (q+1) when both twist conductors are
         <= m, else 0. Level 0 counts the spherical vector: 1 when
@@ -62,7 +71,7 @@ class PrincipalSeries:
 
 
 @dataclass(frozen=True)
-class SteinbergTwist:
+class SteinbergTwist(_GL2):
     """Steinberg twisted by a quasi-character of conductor c_chi."""
 
     c_chi: int
@@ -82,9 +91,6 @@ class SteinbergTwist:
     def min_level(self) -> int:
         return max(self.c_chi, 1)
 
-    def depth(self) -> DepthValue:
-        raise ValueError(_NO_DEPTH)
-
     def dim(self, q: int, m: int) -> int:
         """At level m >= 1, q**m + q**(m-1) - 1 when the twist conductor is
         <= m, else 0; 0 at level 0."""
@@ -96,7 +102,7 @@ class SteinbergTwist:
 
 
 @dataclass(frozen=True)
-class Supercuspidal:
+class Supercuspidal(_GL2):
     """A supercuspidal given by the minimal conductor s among its twists
     (always >= 2) and the conductor of the twisting quasi-character."""
 
@@ -133,9 +139,6 @@ class Supercuspidal:
         return dim_supercuspidal_minimal(q, self.s, m)
 
 
-GL2Representation = Union[PrincipalSeries, SteinbergTwist, Supercuspidal]
-
-
 def twisted_conductor_minimal(s: int, c_chi: int) -> int:
     """Conductor of (minimal supercuspidal of conductor s) twisted by a
     quasi-character of conductor c_chi: s if 2*c_chi <= s, else 2*c_chi."""
@@ -152,7 +155,8 @@ def dim_supercuspidal_minimal(q: int, s: int, m: int) -> int:
 
         (2m - s + 1)(q-1)q**(r-1) + sum_{i=r+1}^{m} (2(m-i)+1)(q-1)**2 q**(i-2)
 
-    and 0 whenever s > 2m.
+    and 0 whenever s > 2m. With k = m - r, the sum is q**(r-1) * (q-1)**2
+    * sum_{j<k} (2k - 1 - 2j) q**j, summed here in closed form.
     """
     if s < 2:
         raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
@@ -160,11 +164,10 @@ def dim_supercuspidal_minimal(q: int, s: int, m: int) -> int:
         raise ValueError(f"level must be >= 0, got {m}")
     if s > 2 * m:
         return 0
-    r = s // 2
-    total = (2 * m - s + 1) * (q - 1) * q ** (r - 1)
-    for i in range(r + 1, m + 1):
-        total += (2 * (m - i) + 1) * (q - 1) ** 2 * q ** (i - 2)
-    return total
+    r, k = s // 2, m - s // 2
+    qk = q**k  # series is (q-1)**2 * sum_{j<k} (2k - 1 - 2j) q**j
+    series = (2 * k - 1) * (q - 1) * (qk - 1) - 2 * (q - k * qk + (k - 1) * qk * q)
+    return q ** (r - 1) * ((2 * m - s + 1) * (q - 1) + series)
 
 
 def dim_supercuspidal_lattice(q: int, s: int, r: int) -> int:
@@ -197,15 +200,6 @@ def dim_supercuspidal_lattice(q: int, s: int, r: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class KirillovBasisElement:
-    """A basis function of the fixed space in the Kirillov realization: the
-    twist class it transforms by, supported on the valuation shell -m_support."""
-
-    character: QuasiCharacterClass
-    m_support: int
-
-
 def kirillov_groups(
     q: int, s: int, c_psi: int, r: int
 ) -> Iterator[tuple[int, int, int, int]]:
@@ -229,27 +223,12 @@ def kirillov_groups(
             yield i, classes, lo, hi
 
 
-def kirillov_basis(
-    q: int, s: int, c_psi: int, r: int
-) -> list[KirillovBasisElement]:
-    """Enumerate the Kirillov-model basis of the level-r fixed space of a
-    minimal supercuspidal of conductor s, for an additive character of
-    conductor c_psi: one element per class and support order of each
-    kirillov_groups group. For c_psi = 0 the count equals
-    dim_supercuspidal_lattice(q, s, r).
-    """
-    return [
-        KirillovBasisElement(QuasiCharacterClass(i, class_index), m)
-        for i, classes, lo, hi in kirillov_groups(q, s, c_psi, r)
-        for class_index in range(classes)
-        for m in range(lo, hi + 1)
-    ]
-
-
 def kirillov_basis_count(q: int, s: int, c_psi: int, r: int) -> int:
-    """Size of kirillov_basis(q, s, c_psi, r) without materializing it:
-    classes of a common conductor share their support interval, so each
-    group contributes class count times interval length."""
+    """Number of level-r fixed Kirillov functions: classes of a common
+    conductor share their support interval, so each kirillov_groups group
+    contributes class count times interval length. The interval shifts
+    with c_psi but keeps its length, so the count does not depend on c_psi
+    and equals dim_supercuspidal_lattice(q, s, r) at every level r >= 1."""
     return sum(
         classes * (hi - lo + 1)
         for _, classes, lo, hi in kirillov_groups(q, s, c_psi, r)

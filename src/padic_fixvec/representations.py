@@ -10,12 +10,32 @@ reduce to exact integer and rational arithmetic on this data.
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Protocol, Sequence
 
 from .cosets import parabolic_index_closed
 
 # Depth values are exact nonnegative rationals, stored in lowest terms.
 DepthValue = Fraction
+
+
+class Representation(Protocol):
+    """What every representation type answers: GenericRepresentation and
+    the GL_2 types PrincipalSeries, SteinbergTwist and Supercuspidal. Each
+    method raises ValueError where the type has no answer."""
+
+    dim_branch: str  # names the formula behind dim
+
+    def conductor(self) -> int: ...
+
+    def min_level(self) -> int: ...
+
+    def depth(self) -> DepthValue: ...
+
+    def dim(self, q: int, m: int) -> int: ...
+
+    def dim_exponent(self, m: int) -> int:
+        """An e with dim(q, m) >= q**e for every q once m >= min_level():
+        the size of the dimension, known before it is computed."""
 
 
 class ImplausibleConductorWarning(UserWarning):
@@ -45,11 +65,8 @@ class SquareIntegrableBlock:
 
 @dataclass(frozen=True)
 class GenericRepresentation:
-    """Ordered square-integrable blocks of a parabolically induced representation.
-
-    Like the GL_2 types in gl2_dims, it answers conductor(), min_level(),
-    depth() and dim(q, m), and raises ValueError where it has no answer.
-    """
+    """Ordered square-integrable blocks of a parabolically induced
+    representation; a Representation, like the GL_2 types in gl2_dims."""
 
     blocks: tuple[SquareIntegrableBlock, ...]
 
@@ -105,6 +122,11 @@ class GenericRepresentation:
                 )
         block_dims = [1 if b.conductor <= m else 0 for b in self.blocks]
         return dim_induced_general(self.partition, q, m, block_dims)
+
+    def dim_exponent(self, m: int) -> int:
+        """m*d with d = sum_{i<j} n_i*n_j: the coset index, a factor of the
+        dimension, is at least q**(m*d)."""
+        return m * (self.n**2 - sum(k * k for k in self.partition)) // 2
 
 
 def dim_induced_general(

@@ -2,7 +2,6 @@ import pytest
 
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.characters import (
-    QuasiCharacterClass,
     conductor_histogram,
     enumerate_unit_dual,
     num_classes_exact,
@@ -72,16 +71,3 @@ def test_dual_budget():
     with pytest.raises(BudgetExceededError) as info:
         enumerate_unit_dual(2, 21)
     assert info.value.required == 2 ** 21
-
-
-def test_quasi_character_class_validation():
-    lam = QuasiCharacterClass(2, 3)
-    lam.validate(3)  # 4 classes of conductor 2 at q = 3
-    with pytest.raises(ValueError):
-        QuasiCharacterClass(2, 4).validate(3)
-    with pytest.raises(ValueError):
-        QuasiCharacterClass(1, 0).validate(2)  # no classes of conductor 1
-    with pytest.raises(ValueError):
-        QuasiCharacterClass(-1, 0)
-    with pytest.raises(ValueError):
-        QuasiCharacterClass(1, -1)

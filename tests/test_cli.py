@@ -13,6 +13,7 @@ from padic_fixvec.budget import ENV_BUDGET
 from padic_fixvec.cli import (
     EXIT_INPUT,
     EXIT_OK,
+    SPECS,
     SpecError,
     _has_more_digits,
     load_spec,
@@ -506,6 +507,32 @@ def test_emit_spec_round_trip(capsys):
         emitted = json.loads(out)
         assert parse_spec(emitted) == load_spec(spec)
         assert spec_to_dict(parse_spec(emitted)) == spec_to_dict(load_spec(spec))
+
+
+def test_every_spec_type_round_trips():
+    # One canonical spec, defaults filled in, per SPECS entry.
+    specs = [
+        {"field": {"p": 2, "f": 1}, "rep": {"type": "induced", "blocks": [
+            {"n": 2, "conductor": 3}, {"n": 1, "conductor": 0}]}},
+        {"field": {"p": 3, "f": 1},
+         "rep": {"type": "principal-series", "c1": 0, "c2": 1}},
+        {"field": {"p": 3, "f": 2}, "rep": ST_1},
+        {"field": {"p": 5, "f": 1}, "rep": {"type": "supercuspidal",
+                                            "minimal_conductor": 3,
+                                            "twist_conductor": 2}},
+    ]
+    assert [spec["rep"]["type"] for spec in specs] == list(SPECS)
+    for spec in specs:
+        assert spec_to_dict(parse_spec(spec)) == spec
+
+
+@pytest.mark.parametrize("rep_type", ["[1]", '{"a": 1}', "7", "null"])
+def test_a_spec_type_that_is_no_string_is_an_input_error(capsys, rep_type):
+    # Not even an unhashable type escapes as a TypeError.
+    err = run_err(capsys, ["min-level",
+                           '{"field": {"p": 3}, "rep": {"type": %s}}' % rep_type])
+    assert ("rep.type: expected one of induced, principal-series,"
+            " steinberg-twist, supercuspidal; got ") in err
 
 
 def test_emit_spec_fills_defaults(capsys):

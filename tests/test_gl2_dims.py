@@ -1,13 +1,14 @@
+import time
+
 import pytest
 
+from padic_fixvec.characters import num_classes_exact
 from padic_fixvec.gl2_dims import (
-    KirillovBasisElement,
     PrincipalSeries,
     SteinbergTwist,
     Supercuspidal,
     dim_supercuspidal_lattice,
     dim_supercuspidal_minimal,
-    kirillov_basis,
     kirillov_basis_count,
     kirillov_groups,
     twisted_conductor_minimal,
@@ -75,6 +76,21 @@ def test_supercuspidal_closed_and_lattice_agree():
                 assert dim_supercuspidal_minimal(q, s, m) == (
                     dim_supercuspidal_lattice(q, s, m)
                 )
+    # Far past the grid, where the closed form's big powers dominate.
+    for q in (2, 3):
+        for s in range(2, 9):
+            for m in (50, 200):
+                assert dim_supercuspidal_minimal(q, s, m) == (
+                    dim_supercuspidal_lattice(q, s, m)
+                )
+
+
+def test_supercuspidal_closed_form_is_constant_time():
+    # Deep in the level, where an O(m) loop takes about 0.2 s a call.
+    start = time.process_time()
+    for _ in range(100):
+        dim_supercuspidal_minimal(2, 7, 14000)
+    assert time.process_time() - start < 0.1
 
 
 @pytest.mark.parametrize("q,s,c_chi,m,expected", [
@@ -87,13 +103,24 @@ def test_dim_supercuspidal_twisted(q, s, c_chi, m, expected):
 
 
 def test_kirillov_basis_small():
-    basis = kirillov_basis(3, 2, 0, 1)
-    assert len(basis) == 2
-    assert {(b.character.conductor, b.m_support) for b in basis} == {
-        (0, 1), (1, 1)
-    }
-    assert len(kirillov_basis(2, 2, 0, 2)) == 4
-    assert kirillov_basis(3, 4, 0, 1) == []
+    # One class of each conductor 0 and 1, both supported on order 1.
+    assert list(kirillov_groups(3, 2, 0, 1)) == [(0, 1, 1, 1), (1, 1, 1, 1)]
+    assert kirillov_basis_count(3, 2, 0, 1) == 2
+    assert kirillov_basis_count(2, 2, 0, 2) == 4
+    assert kirillov_basis_count(3, 4, 0, 1) == 0
+
+
+def _kirillov_functions(q, s, c_psi, r):
+    """Reference enumeration: one (twist conductor, class index, support
+    order) triple per fixed Kirillov function, each class of conductor i
+    supported on the orders from c(twist) + c_psi - r to c_psi + r."""
+    return [
+        (i, index, order)
+        for i in range(r + 1)
+        for index in range(num_classes_exact(q, i))
+        for order in range(twisted_conductor_minimal(s, i) + c_psi - r,
+                           c_psi + r + 1)
+    ]
 
 
 def test_kirillov_basis_count_matches_materialization():
@@ -101,9 +128,9 @@ def test_kirillov_basis_count_matches_materialization():
         for s in range(2, 6):
             for c_psi in (-1, 0, 1):
                 for r in range(max(-c_psi, 1), 5):
-                    basis = kirillov_basis(q, s, c_psi, r)
-                    assert kirillov_basis_count(q, s, c_psi, r) == len(basis)
-                    assert len(set(basis)) == len(basis)
+                    functions = _kirillov_functions(q, s, c_psi, r)
+                    assert len(set(functions)) == len(functions)
+                    assert kirillov_basis_count(q, s, c_psi, r) == len(functions)
 
 
 def test_kirillov_support_interval():
@@ -118,16 +145,9 @@ def test_kirillov_support_interval():
 
 def test_kirillov_basis_requires_level_at_least_minus_c_psi():
     with pytest.raises(ValueError):
-        kirillov_basis(3, 2, -2, 1)
-    with pytest.raises(ValueError):
         kirillov_basis_count(3, 2, -2, 1)
     with pytest.raises(ValueError):
         list(kirillov_groups(3, 2, -2, 1))
-
-
-def test_kirillov_element_is_hashable_record():
-    basis = kirillov_basis(3, 2, 0, 1)
-    assert all(isinstance(b, KirillovBasisElement) for b in basis)
 
 
 def test_rep_constructors_validate():

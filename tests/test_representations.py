@@ -1,8 +1,13 @@
+import itertools
+import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from padic_fixvec.cli import SpecError, load_spec
+from padic_fixvec.gl2_dims import Supercuspidal
 from padic_fixvec.representations import (
     ConductorWindow,
     GenericRepresentation,
@@ -179,3 +184,34 @@ def test_min_level_matches_brute_force_small():
         assert has_fixed_vector(pi, ml)
         if ml >= 1:
             assert not has_fixed_vector(pi, ml - 1)
+
+
+def _golden_reps():
+    """The distinct representations in the golden CLI file's valid specs."""
+    path = Path(__file__).parent / "data" / "cli_golden.json"
+    reps = {}
+    for entry in json.loads(path.read_text(encoding="utf-8")):
+        argv = entry["argv"]
+        if argv[0] in ("global-bounds", "verify"):
+            continue
+        try:
+            parsed = load_spec(argv[1])
+        except SpecError:
+            continue
+        reps[parsed.rep] = None
+    return list(reps)
+
+
+def test_dim_exponent_is_a_lower_bound():
+    # Every type, past its least level: dim(q, m) >= q**dim_exponent(m),
+    # compared exactly where the exponent is negative. Induced reps with a
+    # block of size >= 2 have no dimension and are left out.
+    reps = [r for r in _golden_reps()
+            if all(b.n == 1 for b in getattr(r, "blocks", ()))]
+    assert {type(r).__name__ for r in reps} == {
+        "GenericRepresentation", "PrincipalSeries", "SteinbergTwist",
+        "Supercuspidal"}
+    reps += [Supercuspidal(s, c) for s in range(2, 9) for c in range(4)]
+    for r, q in itertools.product(reps, (2, 3, 4, 5, 7)):
+        for m in range(r.min_level(), 9):
+            assert r.dim(q, m) >= Fraction(q) ** r.dim_exponent(m), (r, q, m)

@@ -1,6 +1,8 @@
 """The public surface: the package's exports and the demos that use them."""
 
+import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,7 +10,8 @@ import pytest
 
 import padic_fixvec
 
-DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_names_resolve_once():
@@ -16,6 +19,25 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(padic_fixvec, name)]
     assert missing == []
+
+
+def _imported_from_package(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "padic_fixvec"
+            for alias in node.names}
+
+
+def test_exports_are_few_and_cover_the_docs_and_demos():
+    assert len(padic_fixvec.__all__) <= 30
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    sources = {"README": "\n".join(blocks)}
+    sources.update((demo.stem, demo.read_text(encoding="utf-8"))
+                   for demo in DEMOS)
+    for where, source in sources.items():
+        names = _imported_from_package(source)
+        assert names, where
+        assert names <= set(padic_fixvec.__all__), (where, names)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
