@@ -2,10 +2,12 @@
 
 Every brute-force oracle in this package is gated by an explicit candidate
 budget so that infeasible instances fail loudly instead of running for hours.
-Each oracle resolves its budget the same way, in resolve_budget: a
+One gate, require, serves every enumeration oracle: GL_n, the parabolic
+rows, the coset flags and the unit dual. It resolves the budget from a
 ``budget=`` argument, else the PADIC_FIXVEC_BUDGET environment variable,
 else the oracle's default, 10**8 matrix candidates for the matrix and coset
-enumerations and 10**6 characters for the unit dual.
+enumerations and 10**6 characters for the unit dual, and raises
+BudgetExceededError when the oracle's candidate count exceeds it.
 """
 
 import os
@@ -63,12 +65,15 @@ def parse_budget(text: str) -> int:
     return value
 
 
-def resolve_budget(budget: int | None, default: int) -> int:
-    """An oracle's budget: the explicit argument, which must be an int >= 1,
-    else the PADIC_FIXVEC_BUDGET environment variable, else its default."""
+def require(required: int, budget: int | None, default: int, what: str) -> None:
+    """The budget gate: raise BudgetExceededError when the `required`
+    candidates of `what` exceed the budget. The budget is the explicit
+    argument, which must be an int >= 1, else the PADIC_FIXVEC_BUDGET
+    environment variable, else `default`."""
     if budget is None:
         env = os.environ.get(ENV_BUDGET)
-        return parse_budget(env) if env else default
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        budget = parse_budget(env) if env else default
+    elif isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
-    return budget
+    if required > budget:
+        raise BudgetExceededError(required, budget, what)

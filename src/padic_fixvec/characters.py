@@ -10,9 +10,7 @@ conductor from discrete logs.
 from itertools import product
 from math import lcm
 
-from .budget import (
-    DEFAULT_UNIT_DUAL_BUDGET, BudgetExceededError, resolve_budget,
-)
+from .budget import DEFAULT_UNIT_DUAL_BUDGET, require
 from .finite_ring import is_prime
 from .global_bounds import factorize
 
@@ -29,13 +27,6 @@ def num_classes_exact(q: int, i: int) -> int:
     if i == 1:
         return q - 2
     return (q - 1) ** 2 * q ** (i - 2)
-
-
-def num_classes_upto(q: int, r: int) -> int:
-    """Number of classes with conductor <= r; equals (q-1)*q**(r-1) for r >= 1."""
-    if r < 0:
-        raise ValueError(f"conductor bound must be >= 0, got {r}")
-    return sum(num_classes_exact(q, i) for i in range(r + 1))
 
 
 def _primitive_root(p: int, r: int) -> int:
@@ -104,9 +95,7 @@ def enumerate_unit_dual(
         raise ValueError(f"p must be prime, got {p}")
     if r < 0:
         raise ValueError(f"level must be >= 0, got {r}")
-    limit = resolve_budget(budget, DEFAULT_UNIT_DUAL_BUDGET)
-    if p**r > limit:
-        raise BudgetExceededError(p**r, limit, f"dual of (Z/{p}^{r})^x")
+    require(p**r, budget, DEFAULT_UNIT_DUAL_BUDGET, f"dual of (Z/{p}^{r})^x")
 
     gens = _unit_group_generators(p, r)
     orders = [order for _, order in gens]

@@ -13,9 +13,7 @@ row at a time, and keeps each partial flag once; it uses no order formula.
 from itertools import product
 from typing import Sequence
 
-from .budget import (
-    DEFAULT_CANDIDATE_BUDGET, BudgetExceededError, resolve_budget,
-)
+from .budget import DEFAULT_CANDIDATE_BUDGET, require
 from .finite_ring import Rows, gl_order, is_prime, parabolic_order
 
 
@@ -93,15 +91,8 @@ def parabolic_index_enumerated(
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     n = sum(partition)
-    tail = n - partition[0]
-    limit = resolve_budget(budget, DEFAULT_CANDIDATE_BUDGET)
-    required = p ** (m * n * tail)
-    if required > limit:
-        raise BudgetExceededError(
-            required,
-            limit,
-            f"coset enumeration for partition {partition} over Z/{p}^{m}",
-        )
+    require(p ** (m * n * (n - partition[0])), budget, DEFAULT_CANDIDATE_BUDGET,
+            f"coset enumeration for partition {partition} over Z/{p}^{m}")
     pm = p**m
     row_space = list(product(range(pm), repeat=n))
     states: set[tuple] = {((), ())}

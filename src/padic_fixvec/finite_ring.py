@@ -4,16 +4,16 @@ Everything here is plain Python integer arithmetic: orders of the finite
 groups grow like q**(n*n*m) and would overflow any fixed-width type. The
 enumeration routines are the ground-truth oracles that the closed-form
 order and index formulas are checked against, so they deliberately stay
-naive (filter all candidate matrices by determinant).
+naive (filter all candidate matrices by determinant). A matrix is a tuple
+of row tuples (Rows) of reduced entries. Every enumeration, the parabolic
+rows included, passes budget.require before it builds any candidate.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .budget import (
-    DEFAULT_CANDIDATE_BUDGET, BudgetExceededError, resolve_budget,
-)
+from .budget import DEFAULT_CANDIDATE_BUDGET, require
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -71,41 +71,6 @@ class LocalFieldParams:
     @property
     def q(self) -> int:
         return self.p**self.f
-
-
-@dataclass(frozen=True)
-class MatrixModPM:
-    """An n x n matrix over Z/p^m. Entries are reduced at construction, so
-    equality is entrywise equality of reduced entries."""
-
-    p: int
-    m: int
-    rows: Rows
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.m < 1:
-            raise ValueError(f"exponent m must be >= 1, got {self.m}")
-        n = len(self.rows)
-        if n < 1 or any(len(row) != n for row in self.rows):
-            raise ValueError("rows must form a nonempty square matrix")
-        pm = self.p**self.m
-        reduced = tuple(tuple(x % pm for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", reduced)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.m
-
-    def __matmul__(self, other: "MatrixModPM") -> "MatrixModPM":
-        if (self.p, self.m, self.n) != (other.p, other.m, other.n):
-            raise ValueError("matrix product requires matching ring and size")
-        return MatrixModPM(self.p, self.m, mat_mul(self.rows, other.rows, self.modulus))
 
 
 def mat_mul(a: Rows, b: Rows, modulus: int) -> Rows:
@@ -168,11 +133,6 @@ def parabolic_order(partition: Sequence[int], q: int, m: int) -> int:
     return order * q ** (m * above)
 
 
-def is_invertible(a: MatrixModPM) -> bool:
-    """Invertible over Z/p^m iff det is a unit, i.e. det != 0 mod p."""
-    return det_int(a.rows) % a.p != 0
-
-
 def _block_starts(partition: Sequence[int]) -> list[int]:
     starts, s = [], 0
     for part in partition:
@@ -187,25 +147,22 @@ def _enumerate_gl_rows(n: int, p: int, m: int, budget: int | None = None) -> Ite
         raise ValueError("n and m must be >= 1")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    limit = resolve_budget(budget, DEFAULT_CANDIDATE_BUDGET)
-    required = p ** (m * n * n)
-    if required > limit:
-        raise BudgetExceededError(required, limit, f"enumerating GL_{n}(Z/{p}^{m})")
+    require(p ** (m * n * n), budget, DEFAULT_CANDIDATE_BUDGET,
+            f"enumerating GL_{n}(Z/{p}^{m})")
     row_space = list(product(range(p**m), repeat=n))
     for rows in product(row_space, repeat=n):
         if det_int(rows) % p != 0:
             yield rows
 
 
-def enumerate_gl(n: int, p: int, m: int, budget: int | None = None) -> Iterator[MatrixModPM]:
-    """Yield each invertible matrix over Z/p^m exactly once, in the
-    lexicographic order of its (row-major) entries.
+def enumerate_gl(n: int, p: int, m: int, budget: int | None = None) -> Iterator[Rows]:
+    """Yield the rows of each invertible matrix over Z/p^m exactly once, in
+    the lexicographic order of its (row-major) entries.
 
     Raises BudgetExceededError when p**(m*n*n) candidates exceed the budget;
     the message carries the required budget.
     """
-    for rows in _enumerate_gl_rows(n, p, m, budget):
-        yield MatrixModPM(p, m, rows)
+    return _enumerate_gl_rows(n, p, m, budget)
 
 
 def _enumerate_parabolic_rows(
@@ -218,12 +175,19 @@ def _enumerate_parabolic_rows(
     invertible block, then free entries to the right. The matrices are the
     product of the blocks' lists of such groups, exactly
     parabolic_order(partition, p, m) of them, far fewer candidates than
-    filtering all of M_n.
+    filtering all of M_n. Gated, before any group is built, by the
+    p**(m * sum_i n_i * (n - start_i)) block-upper-triangular candidates.
     """
     n = sum(partition)
+    starts = _block_starts(partition)
+    require(
+        p ** (m * sum(part * (n - start) for start, part in zip(starts, partition))),
+        budget, DEFAULT_CANDIDATE_BUDGET,
+        f"enumerating the parabolic {tuple(partition)} of GL_{n}(Z/{p}^{m})",
+    )
     pm = p**m
     groups = []
-    for start, part in zip(_block_starts(partition), partition):
+    for start, part in zip(starts, partition):
         prefix = (0,) * start
         tails = list(product(range(pm), repeat=n - start - part))
         groups.append([

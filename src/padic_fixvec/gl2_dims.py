@@ -17,10 +17,11 @@ c = max(s, 2*c_chi).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 from .characters import num_classes_exact
-from .representations import DepthValue, depth_supercuspidal_gl2
+from .representations import depth_esi
 
 _NO_DEPTH = (
     "rep: depth is supported for induced single-block and supercuspidal"
@@ -32,7 +33,7 @@ class _GL2:
     """What the GL_2 types share: no depth unless a type gives one, and
     from min_level on a dimension of at least q**(m-2)."""
 
-    def depth(self) -> DepthValue:
+    def depth(self) -> Fraction:
         raise ValueError(_NO_DEPTH)
 
     def dim_exponent(self, m: int) -> int:
@@ -126,8 +127,8 @@ class Supercuspidal(_GL2):
     def min_level(self) -> int:
         return -(-self.conductor() // 2)
 
-    def depth(self) -> DepthValue:
-        return depth_supercuspidal_gl2(self.conductor())
+    def depth(self) -> Fraction:
+        return depth_esi(2, self.conductor())
 
     def dim(self, q: int, m: int) -> int:
         """0 while the conductor max(s, 2*c_chi) exceeds 2m; from there on

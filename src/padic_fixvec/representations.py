@@ -14,9 +14,6 @@ from typing import Protocol, Sequence
 
 from .cosets import parabolic_index_closed
 
-# Depth values are exact nonnegative rationals, stored in lowest terms.
-DepthValue = Fraction
-
 
 class Representation(Protocol):
     """What every representation type answers: GenericRepresentation and
@@ -29,7 +26,7 @@ class Representation(Protocol):
 
     def min_level(self) -> int: ...
 
-    def depth(self) -> DepthValue: ...
+    def depth(self) -> Fraction: ...
 
     def dim(self, q: int, m: int) -> int: ...
 
@@ -99,7 +96,7 @@ class GenericRepresentation:
         """Least level with a fixed vector: max over blocks of ceil(c_i / n_i)."""
         return max(-(-b.conductor // b.n) for b in self.blocks)
 
-    def depth(self) -> DepthValue:
+    def depth(self) -> Fraction:
         """Depth of a single square-integrable block; other shapes raise."""
         if len(self.blocks) != 1:
             raise ValueError(
@@ -154,7 +151,7 @@ def dim_induced_general(
     return dim
 
 
-def depth_esi(n: int, c: int) -> DepthValue:
+def depth_esi(n: int, c: int) -> Fraction:
     """Depth of an essentially square integrable representation of GL_n with
     conductor c: max((c - n)/n, 0), exactly."""
     if n < 1:
@@ -171,7 +168,7 @@ def has_fixed_vector_esi(n: int, c: int, m: int) -> bool:
     return c <= m * n
 
 
-def has_fixed_vector_depth(depth: DepthValue, m: int) -> bool:
+def has_fixed_vector_depth(depth: Fraction, m: int) -> bool:
     """Depth criterion at positive level m: depth <= m - 1, compared exactly."""
     if m < 1:
         raise ValueError(f"the depth criterion needs level m >= 1, got {m}")
@@ -222,13 +219,3 @@ def conductor_window(n: int, m: int, square_integrable: bool = False) -> Conduct
         raise ValueError(f"level must be >= 0, got {m}")
     lo = (m - 1) * n + 1 if square_integrable else m
     return ConductorWindow(max(lo, 0), m * n)
-
-
-def depth_supercuspidal_gl2(c: int) -> DepthValue:
-    """Depth of a GL_2 supercuspidal from its conductor: (c - 2)/2.
-    Such conductors are always >= 2."""
-    if c < 2:
-        raise ValueError(
-            f"no GL_2 supercuspidal has conductor {c}; the conductor is >= 2"
-        )
-    return Fraction(c - 2, 2)

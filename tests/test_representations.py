@@ -15,7 +15,6 @@ from padic_fixvec.representations import (
     SquareIntegrableBlock,
     conductor_window,
     depth_esi,
-    depth_supercuspidal_gl2,
     has_fixed_vector,
     has_fixed_vector_depth,
     has_fixed_vector_esi,
@@ -142,17 +141,17 @@ def test_conductor_window_validation():
     (4, Fraction(1)),
 ])
 def test_depth_supercuspidal_gl2(c, expected):
-    assert depth_supercuspidal_gl2(c) == expected
+    assert Supercuspidal(c).depth() == expected
 
 
 def test_depth_supercuspidal_gl2_rejects_small_conductor():
     with pytest.raises(ValueError):
-        depth_supercuspidal_gl2(1)
+        Supercuspidal(1)
 
 
 def test_gl2_depths_agree():
     for c in range(2, 21):
-        assert depth_esi(2, c) == depth_supercuspidal_gl2(c)
+        assert depth_esi(2, c) == Supercuspidal(c).depth()
 
 
 def test_block_validation():

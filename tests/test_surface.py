@@ -1,6 +1,7 @@
 """The public surface: the package's exports and the demos that use them."""
 
 import ast
+import importlib
 import pathlib
 import re
 import subprocess
@@ -9,6 +10,10 @@ import sys
 import pytest
 
 import padic_fixvec
+
+# Traced by bench/run.py but deleted from the package; its counters read 0
+# until the next change to the benchmark retires them.
+KNOWN_MISSING_BENCH_NAMES = {"gl2_dims.kirillov_basis"}
 
 ROOT = pathlib.Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -48,3 +53,29 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def _bench_constant(script: str, name: str):
+    """A literal constant of a bench script, read without importing bench/."""
+    tree = ast.parse((ROOT / "bench" / script).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/{script} defines no {name}")
+
+
+def test_bench_names_resolve():
+    # bench/spans.py wraps each ORACLES entry when it installs its tracer
+    # and fails on a missing one; bench/run.py counts L3_FUNCTIONS calls.
+    names = {f"{module}.{attr}"
+             for module, attr, *_ in _bench_constant("spans.py", "ORACLES")}
+    names |= set(_bench_constant("run.py", "L3_FUNCTIONS"))
+    missing = set()
+    for name in names:
+        module, attr = name.split(".")
+        if not hasattr(importlib.import_module(f"padic_fixvec.{module}"), attr):
+            missing.add(name)
+    assert missing == KNOWN_MISSING_BENCH_NAMES
