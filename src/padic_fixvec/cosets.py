@@ -36,33 +36,49 @@ def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
     return total // sub
 
 
+def _add_row(row: tuple[int, ...], echelon: Rows, p: int, pm: int) -> Rows | None:
+    """The unit echelon form of the span of row and of echelon, itself a
+    unit echelon form; None when row is dependent on it mod p.
+
+    Each row of a unit echelon form is 0 mod p before its pivot, so its
+    first entry equal to 1 marks its pivot column. The new row is reduced
+    against the old rows, normalised at its first unit entry, and that
+    column is cleared from the old rows.
+    """
+    pivots = [lead.index(1) for lead in echelon]
+    for lead, pivot in zip(echelon, pivots):
+        c = row[pivot]
+        if c:
+            row = tuple((x - c * y) % pm for x, y in zip(row, lead))
+    col = next((j for j, x in enumerate(row) if x % p), None)
+    if col is None:
+        return None
+    unit = pow(row[col], -1, pm)
+    row = tuple(x * unit % pm for x in row)
+    above = [
+        tuple((x - lead[col] * y) % pm for x, y in zip(lead, row))
+        if lead[col] else lead
+        for lead in echelon
+    ]
+    at = sum(1 for pivot in pivots if pivot < col)
+    return (*above[:at], row, *above[at:])
+
+
 def _unit_echelon(rows: Rows, p: int, pm: int) -> Rows | None:
     """The reduced row echelon form, with unit pivots, of the span of rows
-    over Z/p^m; None when the rows are dependent mod p.
+    over Z/p^m; None when the rows are dependent mod p. A fold of _add_row
+    over the rows, first to last.
 
     Rows independent mod p span a free direct summand, and this form is
     canonical for it: the pivot columns are those of the span mod p, and
     the pivot block is the identity.
     """
-    echelon = [list(row) for row in rows]
-    rank = 0
-    for col in range(len(echelon[0]) if echelon else 0):
-        pivot = next(
-            (i for i in range(rank, len(echelon)) if echelon[i][col] % p), None
-        )
-        if pivot is None:
-            continue
-        echelon[rank], echelon[pivot] = echelon[pivot], echelon[rank]
-        unit = pow(echelon[rank][col], -1, pm)
-        lead = echelon[rank] = [x * unit % pm for x in echelon[rank]]
-        for i, row in enumerate(echelon):
-            c = row[col]
-            if i != rank and c:
-                echelon[i] = [(x - c * y) % pm for x, y in zip(row, lead)]
-        rank += 1
-    if rank < len(echelon):
-        return None
-    return tuple(tuple(row) for row in echelon)
+    echelon: Rows | None = ()
+    for row in rows:
+        echelon = _add_row(row, echelon, p, pm)
+        if echelon is None:
+            return None
+    return echelon
 
 
 def parabolic_index_enumerated(
@@ -79,9 +95,11 @@ def parabolic_index_enumerated(
     and of the rows taken so far. Each step puts every row of (Z/p^m)^n on
     top of each partial flag and drops the rows dependent mod p. The span
     of a new row with an old span depends on the old span only through its
-    echelon form, so equal partial flags are extended once. Gated by the
-    p**(m*n*(n - n_1)) choices of the rows below the first block against
-    the candidate budget; that count bounds the echelon forms computed.
+    echelon form, so equal partial flags are extended once, and _add_row
+    reduces the new row against that stored form instead of echelonizing
+    the whole stack again. Gated by the p**(m*n*(n - n_1)) choices of the
+    rows below the first block against the candidate budget; that count
+    bounds the echelon forms computed.
     """
     if m < 1:
         raise ValueError(f"level m must be >= 1, got {m}")
@@ -102,7 +120,7 @@ def parabolic_index_enumerated(
                 (done, echelon)
                 for done, rows in states
                 for row in row_space
-                if (echelon := _unit_echelon((row, *rows), p, pm)) is not None
+                if (echelon := _add_row(row, rows, p, pm)) is not None
             }
         states = {((*done, rows), rows) for done, rows in states}
     return len(states)

@@ -4,7 +4,8 @@ Everything here is plain Python integer arithmetic: orders of the finite
 groups grow like q**(n*n*m) and would overflow any fixed-width type. The
 enumeration routines are the ground-truth oracles that the closed-form
 order and index formulas are checked against, so they deliberately stay
-naive (filter all candidate matrices by determinant). A matrix is a tuple
+naive (filter all candidate matrices by a unit determinant, computed by
+cofactor expansion, never by an order formula). A matrix is a tuple
 of row tuples (Rows) of reduced entries. Every enumeration, the parabolic
 rows included, passes budget.require before it builds any candidate.
 """
@@ -142,7 +143,14 @@ def _block_starts(partition: Sequence[int]) -> list[int]:
 
 
 def _enumerate_gl_rows(n: int, p: int, m: int, budget: int | None = None) -> Iterator[Rows]:
-    """Raw row-tuples of the invertible matrices, in lexicographic order."""
+    """Raw row-tuples of the invertible matrices, in lexicographic order.
+
+    Expanded along the last row r, det = sum_j cof_j * r_j, where cof is
+    the cofactor vector of the first n - 1 rows. So each prefix of n - 1
+    rows computes cof mod p once, and takes the rows r with a unit
+    sum_j cof_j * r_j from a list filtered once per distinct residue of
+    cof. For n = 1 the single entry must be a unit.
+    """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if not is_prime(p):
@@ -150,9 +158,23 @@ def _enumerate_gl_rows(n: int, p: int, m: int, budget: int | None = None) -> Ite
     require(p ** (m * n * n), budget, DEFAULT_CANDIDATE_BUDGET,
             f"enumerating GL_{n}(Z/{p}^{m})")
     row_space = list(product(range(p**m), repeat=n))
-    for rows in product(row_space, repeat=n):
-        if det_int(rows) % p != 0:
-            yield rows
+    if n == 1:
+        yield from ((row,) for row in row_space if row[0] % p)
+        return
+    last_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for prefix in product(row_space, repeat=n - 1):
+        cof = tuple(
+            (-1) ** (n - 1 + j)
+            * det_int([row[:j] + row[j + 1 :] for row in prefix]) % p
+            for j in range(n)
+        )
+        if cof not in last_rows:
+            last_rows[cof] = [
+                r for r in row_space
+                if sum(c * x for c, x in zip(cof, r)) % p
+            ]
+        for r in last_rows[cof]:
+            yield (*prefix, r)
 
 
 def enumerate_gl(n: int, p: int, m: int, budget: int | None = None) -> Iterator[Rows]:

@@ -10,6 +10,7 @@ ground field of rational numbers; number-field generality is out of scope.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, count
 from math import gcd, prod
 
@@ -34,9 +35,10 @@ class GlobalLevel:
     def __post_init__(self):
         object.__setattr__(self, "factorization", factorize(self.N))
 
-    @property
+    @cached_property
     def radical(self) -> int:
-        """Product of the distinct primes dividing N (1 when N = 1)."""
+        """Product of the distinct primes dividing N (1 when N = 1),
+        computed once per level."""
         return prod(p for p, _ in self.factorization)
 
     def conductor_bounds(self, n: int) -> ConductorWindow:

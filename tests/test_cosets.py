@@ -5,6 +5,7 @@ import pytest
 
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.cosets import (
+    _add_row,
     _unit_echelon,
     parabolic_index_closed,
     parabolic_index_enumerated,
@@ -80,10 +81,37 @@ def _random_rows(rng, k, n, pm):
     return tuple(tuple(rng.randrange(pm) for _ in range(n)) for _ in range(k))
 
 
+def _echelon_from_scratch(rows, p, pm):
+    """Reference: Gauss-Jordan elimination of the whole stack, column by
+    column, with a unit pivot; None when the rows are dependent mod p."""
+    echelon = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(echelon[0]) if echelon else 0):
+        pivot = next(
+            (i for i in range(rank, len(echelon)) if echelon[i][col] % p), None
+        )
+        if pivot is None:
+            continue
+        echelon[rank], echelon[pivot] = echelon[pivot], echelon[rank]
+        unit = pow(echelon[rank][col], -1, pm)
+        lead = echelon[rank] = [x * unit % pm for x in echelon[rank]]
+        for i, row in enumerate(echelon):
+            c = row[col]
+            if i != rank and c:
+                echelon[i] = [(x - c * y) % pm for x, y in zip(row, lead)]
+        rank += 1
+    if rank < len(echelon):
+        return None
+    return tuple(tuple(row) for row in echelon)
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (5, 1)])
 def test_unit_echelon_is_a_canonical_span_key(p, m):
     # The row-by-row oracle keys partial flags by _unit_echelon, so the key
-    # must depend on the span alone and absorb a new row the same way.
+    # must depend on the span alone and absorb a new row the same way. The
+    # oracle's one-row step _add_row(row, key) must equal the echelon form
+    # of the whole stack from scratch, and be None exactly when the new
+    # row is dependent mod p.
     pm = p**m
     rng = random.Random(p * 10 + m)
     for n in (1, 2, 3):
@@ -102,10 +130,22 @@ def test_unit_echelon_is_a_canonical_span_key(p, m):
                     for i in range(k)
                 )
                 key = _unit_echelon(rows, p, pm)
+                assert key == _echelon_from_scratch(rows, p, pm)
                 assert _unit_echelon(mixed, p, pm) == key
+                dependent = 0
                 for row in space:
-                    assert (_unit_echelon((row, *key), p, pm)
-                            == _unit_echelon((row, *rows), p, pm))
+                    scratch = _echelon_from_scratch((row, *rows), p, pm)
+                    assert _unit_echelon((row, *key), p, pm) == scratch
+                    assert _unit_echelon((row, *rows), p, pm) == scratch
+                    assert _add_row(row, key, p, pm) == scratch
+                    dependent += scratch is None
+                # The p**(m*k) rows of the span itself are dependent, so
+                # the None branch is reached.
+                assert dependent >= p ** (m * k)
+                # A stack that is itself dependent mod p has no key.
+                for row in (rows[0], tuple(p * x % pm for x in rows[-1])):
+                    assert _echelon_from_scratch((*rows, row), p, pm) is None
+                    assert _unit_echelon((*rows, row), p, pm) is None
 
 
 def test_enumerated_index_budget():

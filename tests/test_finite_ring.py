@@ -239,7 +239,14 @@ def _base_matrix_parabolic_rows(partition, p, m):
             yield tuple(tuple(row) for row in base)
 
 
-@pytest.mark.parametrize("n,p,m", GL_COUNT_CASES)
+# GL_COUNT_CASES has only n = 2 and 3; the enumeration tests the single
+# entry at n = 1, and n = 4 (65,536 candidates) takes its cofactors from
+# 3 x 3 minors.
+@pytest.mark.parametrize("n,p,m", [
+    *GL_COUNT_CASES,
+    *((1, p, m) for p in (2, 3, 5) for m in (1, 2)),
+    (4, 2, 1),
+])
 def test_gl_rows_stream_equals_flat_reference(n, p, m):
     pairs = zip_longest(_flat_gl_rows(n, p, m), _enumerate_gl_rows(n, p, m))
     assert all(ref == got for ref, got in pairs)

@@ -1,5 +1,6 @@
-from padic_fixvec import verify
+from padic_fixvec import global_bounds, verify
 from padic_fixvec.budget import BudgetExceededError
+from padic_fixvec.representations import ConductorWindow
 from padic_fixvec.verify import (
     MAX_FAILURE_DETAILS,
     SUITES,
@@ -8,6 +9,7 @@ from padic_fixvec.verify import (
     run_all,
     run_characters,
     run_cosets,
+    run_windows,
 )
 
 
@@ -113,6 +115,37 @@ def test_run_all_fails_when_a_check_runs_no_instance():
     assert not all(r.passed for r in reports)
     empty = [c for r in reports for c in r.checks if not c.ok]
     assert empty and all(c.detail == "0 instances" for c in empty)
+
+
+GLOBAL_BOUNDS_CHECK = "local windows compose to products inside the global bounds"
+
+
+def _global_bounds_detail(monkeypatch, case) -> str:
+    """The windows suite's global-bounds check run on the one case."""
+    monkeypatch.setattr(verify, "_global_bounds_cases", lambda: iter([case]))
+    checks = {c.name: c for c in run_windows().checks}
+    assert checks[GLOBAL_BOUNDS_CHECK].ok is False
+    return checks[GLOBAL_BOUNDS_CHECK].detail
+
+
+def test_global_bounds_check_names_the_first_offending_prime_powers(
+    monkeypatch,
+):
+    # Rigged local windows [1, 2 * n * e] give N = 12 = 2^2 * 3 at n = 2
+    # the exponents {1, 4, 8} at 2 and {1, 2, 4} at 3, so powers (2, 16,
+    # 256) and (3, 9, 81). Within the bounds [6, 144], (2, 3) and (2, 9)
+    # pass; (2, 81) is the first of itertools.product's tuples outside.
+    monkeypatch.setattr(global_bounds, "local_conductor_window",
+                        lambda n, e: ConductorWindow(1, 2 * n * e))
+    case = (2, global_bounds.GlobalLevel(12), None)
+    assert (_global_bounds_detail(monkeypatch, case)
+            == f"{case}: prime powers (2, 81): 162")
+
+
+def test_global_bounds_check_reports_a_literal_mismatch(monkeypatch):
+    case = (2, global_bounds.GlobalLevel(12), (6, 145))
+    assert (_global_bounds_detail(monkeypatch, case)
+            == f"{case}: bounds (6, 144) != (6, 145)")
 
 
 # Instances each check runs per suite at the default budget. A change that
