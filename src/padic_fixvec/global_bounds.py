@@ -8,7 +8,6 @@ radical and its conductor_bounds(n). Everything here is arithmetic over the
 ground field of rational numbers; number-field generality is out of scope.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count
@@ -58,19 +57,21 @@ def factorize(N: int) -> tuple[tuple[int, int], ...]:
     composite cofactor; is_prime is exact on the whole range."""
     if not (1 <= N <= MAX_N):
         raise ValueError(f"level must be in [1, 10^18], got {N}")
-    exponents = Counter()
+    exponents = {}
     for d in chain((2,), range(3, TRIAL_BOUND, 2)):
         if d * d > N:
             break
-        while N % d == 0:
-            exponents[d] += 1
-            N //= d
+        if N % d == 0:
+            exponents[d] = 0
+            while N % d == 0:
+                exponents[d] += 1
+                N //= d
     pending = [N] if N > 1 else []
     while pending:
         n = pending.pop()
         # No prime below TRIAL_BOUND divides n, so n is prime if it is small.
         if n < TRIAL_BOUND**2 or is_prime(n):
-            exponents[n] += 1
+            exponents[n] = exponents.get(n, 0) + 1
         else:
             d = _pollard_brent(n)
             pending += [d, n // d]

@@ -397,14 +397,12 @@ def _global_bounds_cases():
 def _bounds_hold(n: int, level, literal, exponents: dict) -> str | None:
     """N lies in its global bounds (equal to the upper one for n = 1), and
     so does every product of each prime's low, middle and high local
-    exponent. exponents maps (n, e) to those sorted exponents of
-    local_conductor_window(n, e).
+    exponent, exponents[n, e] in ascending order.
 
-    The products grow as one list, a prime at a time, in the order of
-    itertools.product over the primes' power lists, and their least and
-    greatest are compared with the bounds. Only when one lies outside is
-    itertools.product walked, for the first offending tuple of powers.
-    """
+    Every prime is at least 2 and its exponents ascend, so the products of
+    the lowest and of the highest powers are the least and the greatest:
+    those two decide the case. itertools.product is walked only to name the
+    first offending tuple of powers."""
     N, bounds = level.N, level.conductor_bounds(n)
     lo, hi = bounds.lo, bounds.hi
     if literal is not None and (lo, hi) != literal:
@@ -413,12 +411,14 @@ def _bounds_hold(n: int, level, literal, exponents: dict) -> str | None:
         return "N outside bounds"
     if n == 1 and hi != N:
         return f"upper {hi} != N"
-    choices = [[p**c for c in exponents[n, e]] for p, e in level.factorization]
-    products = [1]
-    for powers in choices:
-        products = [x * y for x in products for y in powers]
-    if lo <= min(products) and max(products) <= hi:
+    least = greatest = 1
+    for p, e in level.factorization:
+        powers = exponents[n, e]
+        least *= p ** powers[0]
+        greatest *= p ** powers[-1]
+    if lo <= least and greatest <= hi:
         return None
+    choices = [[p**c for c in exponents[n, e]] for p, e in level.factorization]
     for powers in itertools.product(*choices):
         product = math.prod(powers)
         if not lo <= product <= hi:
@@ -466,8 +466,7 @@ def run_windows(budget: int | None = None) -> SuiteReport:
         })
         report.checks.append(generic)
 
-    # Each local window (n <= 4, 2**e <= 10^4) gives its low, middle and
-    # high exponents once, not 97,200 times: 52 entries.
+    # Each local window's ascending low, middle and high exponents, once.
     exponents = {}
     for n, e in itertools.product(range(1, 5), range(1, 14)):
         window = global_bounds.local_conductor_window(n, e)

@@ -39,6 +39,16 @@ def test_factorize_matches_sympy():
         assert factorize(N) == expected(N), N
 
 
+@pytest.mark.parametrize("N,pairs", [
+    (1009**2 * 1013**3, ((1009, 2), (1013, 3))),
+    (999999937**2, ((999999937, 2),)),
+])
+def test_factorize_adds_a_prime_that_pollard_brent_returns_twice(N, pairs):
+    # Both primes lie past trial division, so every factor comes from
+    # Pollard-Brent and each repeated prime adds to its exponent.
+    assert factorize(N) == pairs
+
+
 @pytest.mark.parametrize("N", [0, -5, MAX_N + 1])
 def test_factorize_domain(N):
     with pytest.raises(ValueError):

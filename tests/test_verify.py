@@ -1,5 +1,10 @@
+import itertools
+import math
+import pathlib
+
 from padic_fixvec import global_bounds, verify
 from padic_fixvec.budget import BudgetExceededError
+from padic_fixvec.cli import main
 from padic_fixvec.representations import ConductorWindow
 from padic_fixvec.verify import (
     MAX_FAILURE_DETAILS,
@@ -142,6 +147,73 @@ def test_global_bounds_check_names_the_first_offending_prime_powers(
             == f"{case}: prime powers (2, 81): 162")
 
 
+def test_global_bounds_check_names_an_offender_below_the_lower_bound(
+    monkeypatch,
+):
+    # Rigged local windows [0, n * e] give N = 12 at n = 2 the exponents
+    # {0, 2, 4} at 2 and {0, 1, 2} at 3. The greatest product 16 * 9 = 144
+    # meets the upper bound, so only the least, (1, 1), fails: 1 < 6.
+    monkeypatch.setattr(global_bounds, "local_conductor_window",
+                        lambda n, e: ConductorWindow(0, n * e))
+    case = (2, global_bounds.GlobalLevel(12), None)
+    assert (_global_bounds_detail(monkeypatch, case)
+            == f"{case}: prime powers (1, 1): 1")
+
+
+def _exponent_table(window) -> dict:
+    """The windows suite's (n, e) -> ascending low, middle and high
+    exponents, built from the local window function given."""
+    table = {}
+    for n, e in itertools.product(range(1, 5), range(1, 14)):
+        w = window(n, e)
+        table[n, e] = sorted({w.lo, (w.lo + w.hi) // 2, w.hi})
+    return table
+
+
+def _bounds_hold_reference(n, level, literal, exponents) -> str | None:
+    """_bounds_hold as it was before it decided from two products: every
+    product is built in one list and its least and greatest compared."""
+    N, bounds = level.N, level.conductor_bounds(n)
+    lo, hi = bounds.lo, bounds.hi
+    if literal is not None and (lo, hi) != literal:
+        return f"bounds {(lo, hi)} != {literal}"
+    if not lo <= N <= hi:
+        return "N outside bounds"
+    if n == 1 and hi != N:
+        return f"upper {hi} != N"
+    choices = [[p**c for c in exponents[n, e]] for p, e in level.factorization]
+    products = [1]
+    for powers in choices:
+        products = [x * y for x in products for y in powers]
+    if lo <= min(products) and max(products) <= hi:
+        return None
+    for powers in itertools.product(*choices):
+        product = math.prod(powers)
+        if not lo <= product <= hi:
+            return f"prime powers {powers}: {product}"
+
+
+def test_bounds_hold_equals_the_list_of_all_products():
+    levels = [global_bounds.GlobalLevel(N) for N in range(1, 2001)]
+    cases = [(n, level, None) for level in levels for n in range(1, 5)]
+    cases += [(2, global_bounds.GlobalLevel(12), (6, 144)),
+              (2, global_bounds.GlobalLevel(12), (6, 145))]
+    paper = _exponent_table(global_bounds.local_conductor_window)
+    assert [verify._bounds_hold(*case, paper) for case in cases] == [
+        _bounds_hold_reference(*case, paper) for case in cases
+    ]
+    # Rigged windows fail the lower edge only ([0, n * e]), mostly the
+    # upper one ([1, 2 * n * e]) or both at once ([0, 2 * n * e]: N = 12 at
+    # n = 2 has least product 1 < 6 and greatest 256 * 81 > 144).
+    for lo, scale in [(0, 1), (1, 2), (0, 2)]:
+        rigged = _exponent_table(
+            lambda n, e: ConductorWindow(lo, scale * n * e))
+        got = [verify._bounds_hold(*case, rigged) for case in cases]
+        assert got == [_bounds_hold_reference(*case, rigged) for case in cases]
+        assert any(detail and detail.startswith("prime powers")
+                   for detail in got)
+
+
 def test_global_bounds_check_reports_a_literal_mismatch(monkeypatch):
     case = (2, global_bounds.GlobalLevel(12), (6, 145))
     assert (_global_bounds_detail(monkeypatch, case)
@@ -201,3 +273,17 @@ def test_run_all_instance_counts_at_default_budget(default_report):
     }
     total = sum(sum(checks.values()) for checks in EXPECTED_INSTANCES.values())
     assert total == 71_832
+
+
+VERIFY_BUDGET_1000 = (
+    pathlib.Path(__file__).parent / "data" / "verify_budget_1000.json")
+
+
+def test_verify_json_at_budget_1000_is_golden(capsys):
+    # The skip path: 15 budget notes, six from the parabolic enumerator, each
+    # with its required budget. To record the file again (only after a
+    # deliberate change of output):
+    #   padic-fixvec verify --suite all --json --budget 1000 > <the file>
+    argv = ["verify", "--suite", "all", "--json", "--budget", "1000"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == VERIFY_BUDGET_1000.read_bytes()
