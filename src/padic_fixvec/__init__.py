@@ -11,7 +11,7 @@ Helpers that are not exported stay importable from their modules.
 from .budget import BudgetExceededError, parse_budget
 from .characters import enumerate_unit_dual, num_classes_exact
 from .cosets import parabolic_index_closed, parabolic_index_enumerated
-from .finite_ring import LocalFieldParams, enumerate_gl, gl_order, parabolic_order
+from .finite_ring import enumerate_gl, gl_order, parabolic_order
 from .gl2_dims import (
     PrincipalSeries,
     SteinbergTwist,
@@ -41,7 +41,6 @@ __all__ = [
     "GenericRepresentation",
     "GlobalLevel",
     "ImplausibleConductorWarning",
-    "LocalFieldParams",
     "PrincipalSeries",
     "Representation",
     "SquareIntegrableBlock",

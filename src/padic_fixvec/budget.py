@@ -46,10 +46,12 @@ def parse_budget(text: str) -> int:
     try:
         if "^" in text:
             base, exp = (int(part) for part in text.split("^", 1))
-            # |base| >= 2 to a power above the cap's bit length exceeds the
+            # Written maths reads -b^e as -(b^e): the sign is not the base's.
+            sign, base = (-1 if text.startswith("-") else 1), abs(base)
+            # base >= 2 to a power above the cap's bit length exceeds the
             # cap; reject it without computing a number that large.
-            too_big = abs(base) >= 2 and exp > MAX_BUDGET.bit_length()
-            value = None if too_big else base**exp
+            too_big = base >= 2 and exp > MAX_BUDGET.bit_length()
+            value = None if too_big else sign * base**exp
         elif text.lstrip("+-").isdigit():
             value = int(text)
         else:

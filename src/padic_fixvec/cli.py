@@ -38,7 +38,7 @@ from dataclasses import asdict, astuple, dataclass
 from typing import Callable, NamedTuple
 
 from .budget import parse_budget
-from .finite_ring import PRIME_CAP, LocalFieldParams
+from .finite_ring import is_prime
 from .gl2_dims import PrincipalSeries, SteinbergTwist, Supercuspidal, kirillov_groups
 from .global_bounds import GlobalLevel, local_conductor_window
 from .representations import GenericRepresentation, Representation
@@ -54,7 +54,10 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ParsedSpec:
-    field: LocalFieldParams
+    """A checked spec: a prime p, a residue degree f >= 1, a representation."""
+
+    p: int
+    f: int
     rep: Representation
 
 
@@ -147,12 +150,11 @@ def parse_spec(data) -> ParsedSpec:
     p = _get_int(field_obj, "p", "field", minimum=2)
     f = _get_int(field_obj, "f", "field", minimum=1, default=1)
     try:
-        field = LocalFieldParams(p, f)
-    except ValueError as exc:
-        # f >= 1 holds, so the field rejected p: composite, or too large
-        # for is_prime, whose message states its cap.
-        detail = f"must be prime, got {p}" if p < PRIME_CAP else exc
-        raise SpecError(f"field.p: {detail}") from None
+        prime = is_prime(p)
+    except ValueError as exc:  # p is at or above the cap, which exc states
+        raise SpecError(f"field.p: {exc}") from None
+    if not prime:
+        raise SpecError(f"field.p: must be prime, got {p}")
 
     rep_obj = _as_object(root["rep"], "rep")
     rep_type = rep_obj.get("type")
@@ -161,7 +163,7 @@ def parse_spec(data) -> ParsedSpec:
     if spec is None:
         raise SpecError(f"rep.type: expected one of {', '.join(SPECS)};"
                         f" got {json.dumps(rep_type)}")
-    return ParsedSpec(field, spec.parse(rep_obj))
+    return ParsedSpec(p, f, spec.parse(rep_obj))
 
 
 def load_spec(argument: str) -> ParsedSpec:
@@ -189,7 +191,7 @@ def load_spec(argument: str) -> ParsedSpec:
 def spec_to_dict(parsed: ParsedSpec) -> dict:
     """Canonical JSON form of a parsed spec; reparsing it reproduces parsed."""
     name = SPEC_NAMES[type(parsed.rep)]
-    return {"field": {"p": parsed.field.p, "f": parsed.field.f},
+    return {"field": {"p": parsed.p, "f": parsed.f},
             "rep": {"type": name, **SPECS[name].dump(parsed.rep)}}
 
 
@@ -244,18 +246,20 @@ def _refuse_past(base: int, exp: int, cause: str, digits=None,
         raise SpecError(f"{cause} of more than {digits} digits, past {limit}")
 
 
-def _printable_q(field: LocalFieldParams) -> int:
-    _refuse_past(field.p, field.f, f"field.f: {field.f} gives q = p**f")
-    return field.q
+def _printable_q(spec: ParsedSpec) -> int:
+    _refuse_past(spec.p, spec.f, f"field.f: {spec.f} gives q = p**f")
+    return spec.p**spec.f
 
 
-def _dim_rows(rep: Representation, field: LocalFieldParams,
-              m: int) -> list[tuple[str, object]]:
+def _dim_rows(spec: ParsedSpec, m: int) -> list[tuple[str, object]]:
     """Refused when the dimension cannot be printed: from its lower bound
     q**rep.dim_exponent(m) before it is computed, then from itself. Below
-    min_level the dimension is 0, and from there on the bound holds."""
-    q = _printable_q(field)
-    cause = f"level: {m} gives a dimension at field.f = {field.f}"
+    min_level the dimension is 0, and every type's dim answers 0 there
+    before any arithmetic of the size of q**m; from there on the bound
+    holds."""
+    rep = spec.rep
+    q = _printable_q(spec)
+    cause = f"level: {m} gives a dimension at field.f = {spec.f}"
     if m >= rep.min_level():
         _refuse_past(q, rep.dim_exponent(m), cause)
     dimension = rep.dim(q, m)
@@ -264,23 +268,24 @@ def _dim_rows(rep: Representation, field: LocalFieldParams,
             ("branch", rep.dim_branch)]
 
 
-def _has_fixed_rows(rep, field: LocalFieldParams, m: int) -> list[tuple[str, object]]:
+def _has_fixed_rows(spec: ParsedSpec, m: int) -> list[tuple[str, object]]:
     if m < 0:
         raise SpecError(f"level must be >= 0, got {m}")
-    return [("has_fixed_vector", m >= rep.min_level()), ("level", m),
-            ("q", _printable_q(field))]
+    return [("has_fixed_vector", m >= spec.rep.min_level()), ("level", m),
+            ("q", _printable_q(spec))]
 
 
-def _conductor_rows(rep, *_) -> list[tuple[str, object]]:
-    conductor = rep.conductor()  # a sum, or twice a twist conductor
+def _conductor_rows(spec: ParsedSpec, _) -> list[tuple[str, object]]:
+    conductor = spec.rep.conductor()  # a sum, or twice a twist conductor
     _refuse_past(conductor, 1, "rep: its conductors give a conductor")
-    return [("conductor", conductor), ("convention", rep.conductor_convention)]
+    return [("conductor", conductor),
+            ("convention", spec.rep.conductor_convention)]
 
 
 class Query(NamedTuple):
     help: str
     with_level: bool
-    rows: Callable  # (rep, field, level or None) -> [(key, value), ...]
+    rows: Callable  # (parsed spec, level or None) -> [(key, value), ...]
 
 
 QUERIES = {
@@ -288,13 +293,13 @@ QUERIES = {
     "has-fixed": Query("whether a nonzero fixed vector exists at a level",
                        True, _has_fixed_rows),
     "min-level": Query("least level with a nonzero fixed vector", False,
-                       lambda rep, field, _: [("min_level", rep.min_level()),
-                                              ("q", _printable_q(field))]),
+                       lambda spec, _: [("min_level", spec.rep.min_level()),
+                                        ("q", _printable_q(spec))]),
     # conductor and depth neither compute nor print q: they answer for any f.
     "conductor": Query("conductor of the represented data", False,
                        _conductor_rows),
     "depth": Query("depth, printed as an exact fraction", False,
-                   lambda rep, *_: [("depth", str(rep.depth()))]),
+                   lambda spec, _: [("depth", str(spec.rep.depth()))]),
 }
 
 
@@ -302,8 +307,7 @@ def cmd_query(args) -> int:
     parsed = load_spec(args.spec)
     if _maybe_emit_spec(args, parsed):
         return EXIT_OK
-    rows = args.query.rows(parsed.rep, parsed.field,
-                           getattr(args, "level", None))
+    rows = args.query.rows(parsed, getattr(args, "level", None))
     # The table spells booleans as JSON does: true, false.
     return _emit(args, dict(rows), [
         (key, json.dumps(value) if isinstance(value, bool) else value)
@@ -356,8 +360,8 @@ def cmd_kirillov_basis(args) -> int:
     # The counts sum to dim's answer, so dim's refusals cover them (there are
     # no groups at a negative level). Groups are built only below the cap.
     r = args.level
-    _dim_rows(rep, parsed.field, max(r, 0))
-    q = parsed.field.q
+    _dim_rows(parsed, max(r, 0))
+    q = parsed.p**parsed.f
     _refuse_past(q, r, f"level: {r} gives Kirillov basis groups with counts"
                  f" near q**{r}", KIRILLOV_DIGITS // max(r, 1),
                  f"the kirillov-basis cap of {KIRILLOV_DIGITS} digits in all")

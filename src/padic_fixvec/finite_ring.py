@@ -10,7 +10,6 @@ of row tuples (Rows) of reduced entries. Every enumeration, the parabolic
 rows included, passes budget.require before it builds any candidate.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -53,25 +52,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class LocalFieldParams:
-    """Residue data of a p-adic field: residue characteristic p, residue
-    degree f, and the residue cardinality q = p**f."""
-
-    p: int
-    f: int = 1
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.f < 1:
-            raise ValueError(f"residue degree f must be >= 1, got {self.f}")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.f
 
 
 def mat_mul(a: Rows, b: Rows, modulus: int) -> Rows:

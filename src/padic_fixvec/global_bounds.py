@@ -9,7 +9,6 @@ ground field of rational numbers; number-field generality is out of scope.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, count
 from math import gcd, prod
 
@@ -26,19 +25,18 @@ GCD_BATCH = 128
 @dataclass(frozen=True)
 class GlobalLevel:
     """A level 1 <= N <= 10**18 with its prime factorization from
-    factorize(N): (prime, exponent) pairs, primes strictly increasing."""
+    factorize(N): (prime, exponent) pairs, primes strictly increasing; and
+    its radical, the product of the distinct primes dividing N (1 when
+    N = 1). Both are computed once, when the level is built."""
 
     N: int
     factorization: tuple[tuple[int, int], ...] = field(init=False)
+    radical: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factorization", factorize(self.N))
-
-    @cached_property
-    def radical(self) -> int:
-        """Product of the distinct primes dividing N (1 when N = 1),
-        computed once per level."""
-        return prod(p for p, _ in self.factorization)
+        factorization = factorize(self.N)
+        object.__setattr__(self, "factorization", factorization)
+        object.__setattr__(self, "radical", prod(p for p, _ in factorization))
 
     def conductor_bounds(self, n: int) -> ConductorWindow:
         """Conductor range for a group size n at this minimal level:

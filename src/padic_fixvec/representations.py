@@ -107,7 +107,10 @@ class GenericRepresentation:
 
     def dim(self, q: int, m: int) -> int:
         """Fixed-space dimension at level m when every block is a character:
-        the coset index times the blocks' indicators of c_i <= m."""
+        0 below min_level(), where some block has c_i > m, without building
+        the coset index; from there on the coset index [GL_n : P], or 1 at
+        level 0, where the integral group absorbs everything, and for one
+        block, where P is the whole group."""
         for i, block in enumerate(self.blocks):
             if block.n >= 2:
                 raise ValueError(
@@ -117,38 +120,18 @@ class GenericRepresentation:
                     " determine; use principal-series, steinberg-twist or"
                     " supercuspidal for the GL_2 fine types"
                 )
-        block_dims = [1 if b.conductor <= m else 0 for b in self.blocks]
-        return dim_induced_general(self.partition, q, m, block_dims)
+        if m < 0:
+            raise ValueError(f"level must be >= 0, got {m}")
+        if m < self.min_level():
+            return 0
+        if m == 0 or len(self.blocks) == 1:
+            return 1
+        return parabolic_index_closed(self.partition, q, m)
 
     def dim_exponent(self, m: int) -> int:
         """m*d with d = sum_{i<j} n_i*n_j: the coset index, a factor of the
         dimension, is at least q**(m*d)."""
         return m * (self.n**2 - sum(k * k for k in self.partition)) // 2
-
-
-def dim_induced_general(
-    partition: Sequence[int], q: int, m: int, block_dims: Sequence[int]
-) -> int:
-    """Fixed-space dimension of a parabolically induced representation:
-    (number of double cosets) * (product of the block fixed-space dims).
-
-    The coset count is the closed-form parabolic index, or 1 at level 0,
-    where the full integral group absorbs everything, and for one block,
-    where P is the whole group. Block dimensions are the caller's data.
-    """
-    partition = tuple(partition)
-    if not partition:
-        raise ValueError("partition must be nonempty")
-    if len(block_dims) != len(partition):
-        raise ValueError(
-            f"{len(block_dims)} block dimensions for {len(partition)} blocks"
-        )
-    if m < 0:
-        raise ValueError(f"level must be >= 0, got {m}")
-    dim = 1 if m == 0 or len(partition) == 1 else parabolic_index_closed(partition, q, m)
-    for d in block_dims:
-        dim *= d
-    return dim
 
 
 def depth_esi(n: int, c: int) -> Fraction:

@@ -336,7 +336,8 @@ def run_supercuspidal(budget: int | None = None) -> SuiteReport:
             lambda p, r: _differ(
                 cosets.parabolic_index_enumerated((1, 1), p, r, budget=budget),
                 gl2_dims.PrincipalSeries(0, 0).dim(p, r),
-                representations.dim_induced_general((1, 1), p, r, (1, 1)),
+                representations.GenericRepresentation.from_pairs(
+                    [(1, 0), (1, 0)]).dim(p, r),
             )},
     )
     return report

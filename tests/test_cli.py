@@ -1,3 +1,4 @@
+import argparse
 import ast
 import itertools
 import json
@@ -16,6 +17,7 @@ from padic_fixvec.cli import (
     SPECS,
     SpecError,
     _has_more_digits,
+    build_parser,
     load_spec,
     main,
     parse_spec,
@@ -471,9 +473,11 @@ def test_verify_json_under_budget(capsys):
 
 def test_verify_rejects_bad_budget(capsys):
     # A zero, negative or fractional budget would skip every oracle.
-    for budget in ("lots", "0", "-5", "10^-1", "10^100000000"):
-        err = run_err(capsys, ["verify", "--suite", "characters", "--budget", budget])
-        assert "budget" in err
+    # "-10^2" is -(10^2), as written maths reads it, not (-10)^2.
+    for budget in ("lots", "0", "-5", "10^-1", "10^100000000", "-10^2", "-2^2"):
+        err = run_err(capsys, ["verify", "--suite", "characters",
+                               f"--budget={budget}"])
+        assert "budget must be an integer from 1 to 10^18" in err
 
 
 def test_verify_budget_from_env_reaches_the_unit_dual(monkeypatch, capsys):
@@ -554,6 +558,8 @@ def test_json_output_is_deterministic(capsys):
 @pytest.mark.parametrize("spec,fragment", [
     ('{"field": {"p": 4}, "rep": {"type": "steinberg-twist", "c_chi": 0}}',
      "field.p"),
+    ('{"field": {"p": 3, "f": 0}, "rep": {"type": "steinberg-twist",'
+     ' "c_chi": 0}}', "field.f"),
     ('{"field": {"p": 3}, "rep": {"type": "nonsense"}}', "rep.type"),
     ('{"field": {"p": 3}, "rep": {"type": "induced", "blocks": []}}',
      "rep.blocks"),
@@ -646,6 +652,18 @@ def test_no_source_file_imports_sympy():
             else:
                 continue
             assert not any(m.partition(".")[0] == "sympy" for m in modules), path
+
+
+def test_verify_suite_choices_follow_the_registry():
+    # build_parser spells the suites out, because importing verify there
+    # would load it on every call (see the test below).
+    from padic_fixvec import verify
+
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    suite = next(action for action in commands.choices["verify"]._actions
+                 if action.dest == "suite")
+    assert suite.choices == ["all", *verify.SUITES]
 
 
 def test_importing_cli_loads_neither_verify_nor_sympy():

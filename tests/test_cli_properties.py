@@ -17,7 +17,7 @@ import io
 import json
 import time
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from padic_fixvec.cli import EXIT_INPUT, EXIT_OK, main
@@ -142,6 +142,17 @@ def check_call(args: list) -> None:
     assert elapsed < 1, (elapsed, context)
 
 
+def induced(conductors: list) -> str:
+    """An induced spec at p = 2 of GL_1 blocks with these conductors."""
+    blocks = [{"n": 1, "conductor": c} for c in conductors]
+    return json.dumps({"field": {"p": 2},
+                       "rep": {"type": "induced", "blocks": blocks}})
+
+
+# Below the least level the dimension is 0: answered without the coset
+# index, whose group orders have millions of bits at these levels.
+@example(["dim", induced([0, 10**12]), "--level", "10000000"])
+@example(["dim", induced([0] * 999 + [5]), "--level", "2"])
 @settings(derandomize=True, deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv())

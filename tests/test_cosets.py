@@ -11,7 +11,7 @@ from padic_fixvec.cosets import (
     parabolic_index_enumerated,
 )
 from padic_fixvec.finite_ring import det_int
-from padic_fixvec.representations import dim_induced_general
+from padic_fixvec.representations import GenericRepresentation
 
 
 @pytest.mark.parametrize("partition,q,m,expected", [
@@ -31,21 +31,21 @@ def test_closed_index_rejects_level_zero():
         parabolic_index_closed((1, 1), 3, 0)
 
 
-@pytest.mark.parametrize("partition", [(1, 1), (2, 1), (4,)])
+@pytest.mark.parametrize("partition", [(1, 1), (1, 1, 1), (1,)])
 def test_index_m0(partition):
-    # One double coset at level 0: the dimension is the product of the
-    # block dimensions.
-    assert dim_induced_general(partition, 3, 0, [1] * len(partition)) == 1
-    assert dim_induced_general(partition, 3, 0, [2] * len(partition)) == (
-        2 ** len(partition)
-    )
+    # One double coset at level 0: the dimension is 1 when every block is
+    # unramified, and 0 when one is not.
+    k = len(partition)
+    assert GenericRepresentation.from_pairs([(1, 0)] * k).dim(3, 0) == 1
+    assert GenericRepresentation.from_pairs(
+        [(1, 0)] * (k - 1) + [(1, 1)]).dim(3, 0) == 0
 
 
 def test_index_m0_rejects_empty():
-    with pytest.raises(ValueError, match="nonempty"):
-        dim_induced_general((), 3, 0, ())
-    with pytest.raises(ValueError, match="nonempty"):
-        dim_induced_general((), 3, 1, ())
+    with pytest.raises(ValueError, match="at least one block"):
+        GenericRepresentation(())
+    with pytest.raises(ValueError, match="at least one block"):
+        GenericRepresentation.from_pairs([])
 
 
 @pytest.mark.parametrize("partition,p,m,expected", [

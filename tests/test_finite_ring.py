@@ -5,9 +5,9 @@ from typing import Sequence
 import pytest
 
 from padic_fixvec.budget import BudgetExceededError
+from padic_fixvec.cli import SpecError, _printable_q, parse_spec
 from padic_fixvec.finite_ring import (
     PRIME_CAP,
-    LocalFieldParams,
     Rows,
     _block_starts,
     _enumerate_gl_rows,
@@ -79,13 +79,19 @@ def test_is_prime_refuses_at_its_cap():
 
 
 def test_local_field_params():
-    field = LocalFieldParams(3, 2)
-    assert field.q == 9
-    assert LocalFieldParams(5).f == 1
-    with pytest.raises(ValueError):
-        LocalFieldParams(4)
-    with pytest.raises(ValueError):
-        LocalFieldParams(3, 0)
+    # The CLI reads the field: q = p**f, f defaults to 1, p must be prime
+    # and f >= 1.
+    def field(obj):
+        return parse_spec({"field": obj, "rep": {"type": "steinberg-twist",
+                                                 "c_chi": 0}})
+
+    parsed = field({"p": 3, "f": 2})
+    assert (parsed.p, parsed.f, _printable_q(parsed)) == (3, 2, 9)
+    assert field({"p": 5}).f == 1
+    with pytest.raises(SpecError, match="field.p: must be prime, got 4"):
+        field({"p": 4})
+    with pytest.raises(SpecError, match="field.f: must be >= 1, got 0"):
+        field({"p": 3, "f": 0})
 
 
 @pytest.mark.parametrize("n,q,m,expected", [

@@ -13,7 +13,7 @@ from padic_fixvec.gl2_dims import (
     kirillov_groups,
     twisted_conductor_minimal,
 )
-from padic_fixvec.representations import dim_induced_general
+from padic_fixvec.representations import GenericRepresentation
 
 
 @pytest.mark.parametrize("q,c1,c2,r,expected", [
@@ -187,15 +187,19 @@ def test_exact_sequence_identity():
 
 
 def test_dim_induced_general():
-    assert dim_induced_general((1, 1), 3, 1, (1, 1)) == 4
-    assert dim_induced_general((2,), 3, 2, (5,)) == 5
-    assert dim_induced_general((1, 1, 1), 2, 1, (1, 1, 1)) == 21
-    assert dim_induced_general((1, 1), 3, 0, (1, 0)) == 0
-    assert dim_induced_general((1, 1), 3, 0, (1, 1)) == 1
-    with pytest.raises(ValueError):
-        dim_induced_general((1, 1), 3, 1, (1,))
-    with pytest.raises(ValueError):
-        dim_induced_general((1, 1), 3, -1, (1, 1))
+    def dim(conductors, q, m):
+        return GenericRepresentation.from_pairs(
+            [(1, c) for c in conductors]).dim(q, m)
+
+    assert dim((0, 0), 3, 1) == 4 == PrincipalSeries(0, 0).dim(3, 1)
+    assert dim((2,), 3, 2) == 1
+    assert dim((0, 0, 0), 2, 1) == 21
+    assert dim((0, 1), 3, 0) == 0
+    assert dim((0, 0), 3, 0) == 1
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        dim((0, 0), 3, -1)
+    with pytest.raises(ValueError, match="rep.blocks"):
+        GenericRepresentation.from_pairs([(2, 2)]).dim(3, 2)
 
 
 def test_level_monotonicity_spot():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from padic_fixvec.cli import SpecError, load_spec
+from padic_fixvec.cosets import parabolic_index_closed
 from padic_fixvec.gl2_dims import Supercuspidal
 from padic_fixvec.representations import (
     ConductorWindow,
@@ -214,3 +216,41 @@ def test_dim_exponent_is_a_lower_bound():
     for r, q in itertools.product(reps, (2, 3, 4, 5, 7)):
         for m in range(r.min_level(), 9):
             assert r.dim(q, m) >= Fraction(q) ** r.dim_exponent(m), (r, q, m)
+
+
+def _dim_induced_general_reference(partition, q, m, block_dims) -> int:
+    """Reference: the helper that GenericRepresentation.dim called with its
+    blocks' 0/1 indicators of c_i <= m, before it answered 0 below
+    min_level. The coset index, 1 at level 0 or for one block, times the
+    product of the block dimensions."""
+    partition = tuple(partition)
+    if not partition:
+        raise ValueError("partition must be nonempty")
+    if len(block_dims) != len(partition):
+        raise ValueError(
+            f"{len(block_dims)} block dimensions for {len(partition)} blocks"
+        )
+    if m < 0:
+        raise ValueError(f"level must be >= 0, got {m}")
+    dim = 1 if m == 0 or len(partition) == 1 else parabolic_index_closed(partition, q, m)
+    for d in block_dims:
+        dim *= d
+    return dim
+
+
+def test_induced_dim_equals_the_coset_index_times_indicators():
+    # Every spec of GL_1 blocks with n <= 3 and conductors <= 3.
+    for k in range(1, 4):
+        for conductors in itertools.product(range(4), repeat=k):
+            r = rep(*((1, c) for c in conductors))
+            for q, m in itertools.product((2, 3, 4), range(5)):
+                indicators = [1 if c <= m else 0 for c in conductors]
+                assert r.dim(q, m) == _dim_induced_general_reference(
+                    r.partition, q, m, indicators), (conductors, q, m)
+
+
+def test_induced_dim_below_min_level_builds_no_coset_index():
+    # At q = 2, m = 10**7 the group orders have tens of millions of bits.
+    start = time.process_time()
+    assert rep((1, 0), (1, 10**12)).dim(2, 10**7) == 0
+    assert time.process_time() - start < 0.5
