@@ -1,11 +1,12 @@
 """Fixed-space dimensions for the three kinds of irreducible GL_2
-representations, and three computations of the supercuspidal ones.
+representations, and three computations of the supercuspidal ones. A
+principal series is the representation induced from two characters.
 
 Run as a script; everything prints as small tables over exact integers.
 """
 
 from padic_fixvec import (
-    PrincipalSeries,
+    GenericRepresentation,
     SteinbergTwist,
     Supercuspidal,
     dim_supercuspidal_lattice,
@@ -24,14 +25,18 @@ def dimension_table(q: int, reps, max_m: int) -> None:
     print()
 
 
+def principal_series(c1: int, c2: int) -> GenericRepresentation:
+    return GenericRepresentation.from_pairs([(1, c1), (1, c2)])
+
+
 def main() -> None:
     q = 3
     print(f"Residue field size q = {q}; K(m) is the principal congruence")
     print("subgroup of level m. Dimensions of the K(m)-fixed subspace:\n")
 
     reps = [
-        ("principal series, unramified", PrincipalSeries(0, 0)),
-        ("principal series, conductors 1,0", PrincipalSeries(1, 0)),
+        ("principal series, unramified", principal_series(0, 0)),
+        ("principal series, conductors 1,0", principal_series(1, 0)),
         ("Steinberg", SteinbergTwist(0)),
         ("Steinberg twisted, conductor 2", SteinbergTwist(2)),
         ("supercuspidal, conductor 2", Supercuspidal(2)),

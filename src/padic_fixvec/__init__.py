@@ -13,7 +13,6 @@ from .characters import enumerate_unit_dual, num_classes_exact
 from .cosets import parabolic_index_closed, parabolic_index_enumerated
 from .finite_ring import enumerate_gl, gl_order, parabolic_order
 from .gl2_dims import (
-    PrincipalSeries,
     SteinbergTwist,
     Supercuspidal,
     dim_supercuspidal_lattice,
@@ -41,7 +40,6 @@ __all__ = [
     "GenericRepresentation",
     "GlobalLevel",
     "ImplausibleConductorWarning",
-    "PrincipalSeries",
     "Representation",
     "SquareIntegrableBlock",
     "SteinbergTwist",

@@ -8,11 +8,12 @@ human-readable key/value listing or, with --json, a canonical JSON object
 The five spec queries (dim, has-fixed, min-level, conductor, depth) are one
 command driven by the QUERIES table: each entry asks the representation's
 own methods and returns ordered (key, value) rows, from which both outputs
-are built. SPECS maps each spec type to its class and to how its "rep"
-object is read and written, for parse_spec and spec_to_dict alike. Every
-representation is a representations.Representation, so no query asks its
-type: even the size guard reads the dimension's lower bound
-q**rep.dim_exponent(m) from the representation.
+are built. SPECS maps each spec type to how its "rep" object is read and
+written, for parse_spec and spec_to_dict alike, and to the labels printed
+with its answers. A principal-series spec is read as two induced GL_1
+blocks and keeps its own name and labels. Every representation is a
+representations.Representation, so no query asks its type: even the size
+guard reads the dimension's lower bound q**rep.dim_exponent(m) from it.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 
@@ -39,7 +40,7 @@ from typing import Callable, NamedTuple
 
 from .budget import parse_budget
 from .finite_ring import is_prime
-from .gl2_dims import PrincipalSeries, SteinbergTwist, Supercuspidal, kirillov_groups
+from .gl2_dims import SteinbergTwist, Supercuspidal, kirillov_groups
 from .global_bounds import GlobalLevel, local_conductor_window
 from .representations import GenericRepresentation, Representation
 
@@ -54,11 +55,13 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ParsedSpec:
-    """A checked spec: a prime p, a residue degree f >= 1, a representation."""
+    """A checked spec: a prime p, a residue degree f >= 1, a representation
+    and the spec type it was read as, a key of SPECS."""
 
     p: int
     f: int
     rep: Representation
+    type: str
 
 
 def _as_object(value, path: str) -> dict:
@@ -104,36 +107,45 @@ def _parse_induced(rep_obj: dict) -> GenericRepresentation:
 
 
 class SpecType(NamedTuple):
-    cls: type
     parse: Callable  # the "rep" object -> the representation
     dump: Callable  # the representation -> its keys besides "type"
+    branch: str  # names the formula behind dim
+    convention: str | None  # names the conductor's rule; None if it refuses
 
 
-def _int_fields(cls, *fields) -> SpecType:
-    """The spec type of a class built from integers: (JSON key, minimum,
-    default) for each dataclass field in declaration order. A default of
-    None makes the key required."""
+def _int_fields(build, values, *fields) -> tuple[Callable, Callable]:
+    """parse and dump for a representation built from integers: build takes
+    them, values gives them back, and fields holds (JSON key, minimum,
+    default) for each, in order. A default of None makes the key required."""
     keys = [key for key, _, _ in fields]
 
     def parse(rep_obj: dict):
         _reject_extra_keys(rep_obj, {"type", *keys}, "rep")
-        return cls(*(_get_int(rep_obj, key, "rep", minimum, default)
-                     for key, minimum, default in fields))
+        return build(*(_get_int(rep_obj, key, "rep", minimum, default)
+                       for key, minimum, default in fields))
 
-    return SpecType(cls, parse, lambda rep: dict(zip(keys, astuple(rep))))
+    return parse, lambda rep: dict(zip(keys, values(rep)))
 
 
 SPECS = {
-    "induced": SpecType(GenericRepresentation, _parse_induced, lambda rep: {
-        "blocks": [{"n": b.n, "conductor": b.conductor} for b in rep.blocks],
-    }),
-    "principal-series": _int_fields(PrincipalSeries, ("c1", 0, None),
-                                    ("c2", 0, None)),
-    "steinberg-twist": _int_fields(SteinbergTwist, ("c_chi", 0, None)),
-    "supercuspidal": _int_fields(Supercuspidal, ("minimal_conductor", 2, None),
-                                 ("twist_conductor", 0, 0)),
+    "induced": SpecType(_parse_induced, lambda rep: {"blocks": [
+        {"n": b.n, "conductor": b.conductor} for b in rep.blocks]},
+        "induced from characters: coset index times indicators",
+        "sum of block conductors"),
+    "principal-series": SpecType(*_int_fields(
+        lambda c1, c2: GenericRepresentation.from_pairs([(1, c1), (1, c2)]),
+        lambda rep: [b.conductor for b in rep.blocks],
+        ("c1", 0, None), ("c2", 0, None)),
+        "principal series closed form", "sum of the two character conductors"),
+    "steinberg-twist": SpecType(*_int_fields(
+        SteinbergTwist, astuple, ("c_chi", 0, None)),
+        "Steinberg twist closed form", None),
+    "supercuspidal": SpecType(*_int_fields(
+        Supercuspidal, astuple, ("minimal_conductor", 2, None),
+        ("twist_conductor", 0, 0)),
+        "supercuspidal closed form",
+        "max(minimal_conductor, 2 * twist_conductor)"),
 }
-SPEC_NAMES = {spec.cls: name for name, spec in SPECS.items()}
 
 
 def parse_spec(data) -> ParsedSpec:
@@ -163,7 +175,7 @@ def parse_spec(data) -> ParsedSpec:
     if spec is None:
         raise SpecError(f"rep.type: expected one of {', '.join(SPECS)};"
                         f" got {json.dumps(rep_type)}")
-    return ParsedSpec(p, f, spec.parse(rep_obj))
+    return ParsedSpec(p, f, spec.parse(rep_obj), rep_type)
 
 
 def load_spec(argument: str) -> ParsedSpec:
@@ -190,9 +202,8 @@ def load_spec(argument: str) -> ParsedSpec:
 
 def spec_to_dict(parsed: ParsedSpec) -> dict:
     """Canonical JSON form of a parsed spec; reparsing it reproduces parsed."""
-    name = SPEC_NAMES[type(parsed.rep)]
     return {"field": {"p": parsed.p, "f": parsed.f},
-            "rep": {"type": name, **SPECS[name].dump(parsed.rep)}}
+            "rep": {"type": parsed.type, **SPECS[parsed.type].dump(parsed.rep)}}
 
 
 def _print_json(payload) -> None:
@@ -265,7 +276,7 @@ def _dim_rows(spec: ParsedSpec, m: int) -> list[tuple[str, object]]:
     dimension = rep.dim(q, m)
     _refuse_past(dimension, 1, cause)
     return [("dimension", dimension), ("level", m), ("q", q),
-            ("branch", rep.dim_branch)]
+            ("branch", SPECS[spec.type].branch)]
 
 
 def _has_fixed_rows(spec: ParsedSpec, m: int) -> list[tuple[str, object]]:
@@ -279,7 +290,7 @@ def _conductor_rows(spec: ParsedSpec, _) -> list[tuple[str, object]]:
     conductor = spec.rep.conductor()  # a sum, or twice a twist conductor
     _refuse_past(conductor, 1, "rep: its conductors give a conductor")
     return [("conductor", conductor),
-            ("convention", spec.rep.conductor_convention)]
+            ("convention", SPECS[spec.type].convention)]
 
 
 class Query(NamedTuple):

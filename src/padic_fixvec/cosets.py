@@ -2,38 +2,45 @@
 
 Reduction mod p^m turns the count into the index of the block-upper-
 triangular subgroup P inside GL_n(Z/p^m), which we compute two ways:
-in closed form from the order formulas, and by counting cosets over the
-finite ring (the oracle, restricted to residue degree 1). The oracle keys
-each coset by the flag of row spans of its trailing blocks, in the
-canonical echelon form of spans in (Z/p^m)^n (Howell, "Spans in the
-module (Z_m)^s", 1986). It grows the flags from the bottom row up, one
+in closed form, as a power of q times a Gaussian multinomial, and by
+counting cosets over the finite ring (the oracle, restricted to residue
+degree 1). The oracle keys each coset by the flag of row spans of its
+trailing blocks, in the canonical echelon form of spans in (Z/p^m)^n
+(Howell, "Spans in the module (Z_m)^s", 1986). It grows the flags from the bottom row up, one
 row at a time, and keeps each partial flag once; it uses no order formula.
 """
 
+import math
 from itertools import product
 from typing import Sequence
 
 from .budget import DEFAULT_CANDIDATE_BUDGET, require
-from .finite_ring import Rows, gl_order, is_prime, parabolic_order
+from .finite_ring import Rows, is_prime
 
 
 def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
-    """[GL_n : P] over the residue ring at level m >= 1, via the order formulas.
+    """[GL_n : P] over the residue ring at level m >= 1, in closed form:
+    q**((m-1)*d), d = sum_{i<j} n_i*n_j, for the kernel of reduction to
+    level 1, times the level-1 index, the Gaussian multinomial
+    prod_{j<=n} (q**j - 1) / prod_i prod_{j<=n_i} (q**j - 1).
 
     The division is exact; a non-exact division means an internal error and
     raises RuntimeError.
     """
     if m < 1:
         raise ValueError(f"level m must be >= 1, got {m}")
+    if q < 2 or not partition or min(partition) < 1:
+        raise ValueError(f"need q >= 2 and parts >= 1, got q={q}, {partition}")
     n = sum(partition)
-    total = gl_order(n, q, m)
-    sub = parabolic_order(partition, q, m)
+    total = math.prod(q**j - 1 for j in range(1, n + 1))
+    sub = math.prod(q**j - 1 for part in partition for j in range(1, part + 1))
     if total % sub != 0:
         raise RuntimeError(
-            f"internal check failed: |GL| = {total} not divisible by |P| = {sub} "
-            f"for partition {tuple(partition)}, q={q}, m={m}"
+            f"internal check failed: prod (q^j - 1) = {total} not divisible by"
+            f" {sub} for partition {tuple(partition)}, q={q}, m={m}"
         )
-    return total // sub
+    d = (n * n - sum(part * part for part in partition)) // 2
+    return q ** ((m - 1) * d) * (total // sub)
 
 
 def _add_row(row: tuple[int, ...], echelon: Rows, p: int, pm: int) -> Rows | None:

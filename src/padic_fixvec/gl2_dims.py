@@ -1,16 +1,17 @@
 """Fixed-vector dimensions for irreducible representations of GL_2.
 
-The entry points are the three representation types PrincipalSeries,
-SteinbergTwist and Supercuspidal. Each is a representations.Representation,
-as GenericRepresentation is: it answers conductor(), min_level(), depth(),
-dim(q, m) and dim_exponent(m), and raises ValueError where it has no answer.
+The entry points are the representation types SteinbergTwist and
+Supercuspidal; a principal series is the GenericRepresentation of two GL_1
+blocks. Each is a representations.Representation: it answers conductor(),
+min_level(), depth(), dim(q, m) and dim_exponent(m), and raises ValueError
+where it has no answer.
 
-Principal series and twisted Steinberg dimensions are single closed forms
-in their dim methods. Minimal supercuspidal dimensions are computed three
-ways that must agree, but not independently: the twist-class lattice sum
-and the count of Kirillov functions grouped by kirillov_groups are one
-sum, twist class conductor i adding num_classes_exact(q, i) * (2r - c_i + 1),
-and the minimal-conductor closed form is that sum summed, in O(1) big-int
+The twisted Steinberg dimension is a single closed form in its dim method.
+Minimal supercuspidal dimensions are computed three ways that must agree,
+but not independently: the twist-class lattice sum and the count of
+Kirillov functions grouped by kirillov_groups are one sum, twist class
+conductor i adding num_classes_exact(q, i) * (2r - c_i + 1), and the
+minimal-conductor closed form is that sum summed, in O(1) big-int
 operations. Non-minimal supercuspidals reduce to the minimal member of
 their twist orbit, whose conductor meets a twisting character in
 c = max(s, 2*c_chi).
@@ -23,61 +24,12 @@ from typing import Iterator
 from .characters import num_classes_exact
 from .representations import depth_esi
 
-_NO_DEPTH = (
-    "rep: depth is supported for induced single-block and supercuspidal"
-    " specs only"
-)
-
-
-class _GL2:
-    """What the GL_2 types share: no depth unless a type gives one, and
-    from min_level on a dimension of at least q**(m-2)."""
-
-    def depth(self) -> Fraction:
-        raise ValueError(_NO_DEPTH)
-
-    def dim_exponent(self, m: int) -> int:
-        return m - 2
-
 
 @dataclass(frozen=True)
-class PrincipalSeries(_GL2):
-    """Irreducible principal series, carried by its two twist conductors."""
-
-    c1: int
-    c2: int
-
-    conductor_convention = "sum of the two character conductors"
-    dim_branch = "principal series closed form"
-
-    def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("conductors must be >= 0")
-
-    def conductor(self) -> int:
-        return self.c1 + self.c2
-
-    def min_level(self) -> int:
-        return max(self.c1, self.c2)
-
-    def dim(self, q: int, m: int) -> int:
-        """At level m >= 1, q**(m-1) * (q+1) when both twist conductors are
-        <= m, else 0. Level 0 counts the spherical vector: 1 when
-        unramified, else 0."""
-        if m < 0:
-            raise ValueError(f"level must be >= 0, got {m}")
-        if max(self.c1, self.c2) > m:
-            return 0
-        return q ** (m - 1) * (q + 1) if m else 1
-
-
-@dataclass(frozen=True)
-class SteinbergTwist(_GL2):
+class SteinbergTwist:
     """Steinberg twisted by a quasi-character of conductor c_chi."""
 
     c_chi: int
-
-    dim_branch = "Steinberg twist closed form"
 
     def __post_init__(self):
         if self.c_chi < 0:
@@ -92,6 +44,10 @@ class SteinbergTwist(_GL2):
     def min_level(self) -> int:
         return max(self.c_chi, 1)
 
+    def depth(self) -> Fraction:
+        """max(c_chi, 1) - 1, the twisting character's; Steinberg's is 0."""
+        return Fraction(self.min_level() - 1)
+
     def dim(self, q: int, m: int) -> int:
         """At level m >= 1, q**m + q**(m-1) - 1 when the twist conductor is
         <= m, else 0; 0 at level 0."""
@@ -101,17 +57,17 @@ class SteinbergTwist(_GL2):
             return 0
         return q**m + q ** (m - 1) - 1
 
+    def dim_exponent(self, m: int) -> int:
+        return m - 2
+
 
 @dataclass(frozen=True)
-class Supercuspidal(_GL2):
+class Supercuspidal:
     """A supercuspidal given by the minimal conductor s among its twists
     (always >= 2) and the conductor of the twisting quasi-character."""
 
     s: int
     c_chi: int = 0
-
-    conductor_convention = "max(minimal_conductor, 2 * twist_conductor)"
-    dim_branch = "supercuspidal closed form"
 
     def __post_init__(self):
         if self.s < 2:
@@ -138,6 +94,9 @@ class Supercuspidal(_GL2):
         if self.conductor() > 2 * m:
             return 0
         return dim_supercuspidal_minimal(q, self.s, m)
+
+    def dim_exponent(self, m: int) -> int:
+        return m - 2
 
 
 def twisted_conductor_minimal(s: int, c_chi: int) -> int:

@@ -1,10 +1,11 @@
 """Symbolic data for generic representations of GL_n over a p-adic field.
 
 A generic irreducible representation is carried by its ordered list of
-essentially-square-integrable blocks (size, conductor). The fixed-vector
-criteria for principal congruence subgroups, the depth, the conductor
-windows and the fixed-space dimension of an induced representation all
-reduce to exact integer and rational arithmetic on this data.
+essentially-square-integrable blocks (size, conductor); a principal series
+of GL_2 is the one with two GL_1 blocks. The fixed-vector criteria for
+principal congruence subgroups, the depth, the conductor windows and the
+fixed-space dimension of an induced representation all reduce to exact
+integer and rational arithmetic on this data.
 """
 
 import warnings
@@ -17,10 +18,8 @@ from .cosets import parabolic_index_closed
 
 class Representation(Protocol):
     """What every representation type answers: GenericRepresentation and
-    the GL_2 types PrincipalSeries, SteinbergTwist and Supercuspidal. Each
-    method raises ValueError where the type has no answer."""
-
-    dim_branch: str  # names the formula behind dim
+    the GL_2 types SteinbergTwist and Supercuspidal. Each method raises
+    ValueError where the type has no answer."""
 
     def conductor(self) -> int: ...
 
@@ -67,9 +66,6 @@ class GenericRepresentation:
 
     blocks: tuple[SquareIntegrableBlock, ...]
 
-    conductor_convention = "sum of block conductors"
-    dim_branch = "induced from characters: coset index times indicators"
-
     def __post_init__(self):
         if len(self.blocks) == 0:
             raise ValueError("a representation needs at least one block")
@@ -97,13 +93,8 @@ class GenericRepresentation:
         return max(-(-b.conductor // b.n) for b in self.blocks)
 
     def depth(self) -> Fraction:
-        """Depth of a single square-integrable block; other shapes raise."""
-        if len(self.blocks) != 1:
-            raise ValueError(
-                "rep.blocks: depth is computed for a single square-integrable"
-                f" block; got {len(self.blocks)} blocks"
-            )
-        return depth_esi(self.blocks[0].n, self.blocks[0].conductor)
+        """The greatest block depth: parabolic induction preserves depth."""
+        return max(depth_esi(b.n, b.conductor) for b in self.blocks)
 
     def dim(self, q: int, m: int) -> int:
         """Fixed-space dimension at level m when every block is a character:

@@ -10,7 +10,8 @@ Four suites, each pure and deterministic:
   oracle and the class-count closed forms.
 - supercuspidal: the three GL_2 dimension computations (one sum), the
   minimal-level values, twist invariance, the principal-series/Steinberg
-  exact-sequence identity, monotonicity, and vanishing thresholds.
+  exact-sequence identity, monotonicity, and vanishing thresholds. A
+  principal series is the induced representation of its two characters.
 - windows: conductor/depth/level criteria for induced representations,
   exhaustively on a small grid, plus the global conductor-bound sweeps.
 
@@ -256,6 +257,10 @@ def _nondecreasing(q: int, rep) -> str | None:
     return dims != sorted(dims) and str(dims)
 
 
+def _principal_series(c1: int, c2: int):
+    return representations.GenericRepresentation.from_pairs([(1, c1), (1, c2)])
+
+
 def _vanishes_below_conductor(q: int, s: int, c_chi: int, m: int) -> str | None:
     rep = gl2_dims.Supercuspidal(s, c_chi)
     return _differ(rep.dim(q, m) > 0, rep.conductor() <= 2 * m)
@@ -304,7 +309,7 @@ def run_supercuspidal(budget: int | None = None) -> SuiteReport:
         itertools.product(range(2, 8), range(0, 7), range(1, 7)),
         {"principal series minus Steinberg twist is the trivial-quotient line":
             lambda q, c, r: _differ(
-                gl2_dims.PrincipalSeries(c, c).dim(q, r),
+                _principal_series(c, c).dim(q, r),
                 (c <= r) + gl2_dims.SteinbergTwist(c).dim(q, r),
             )},
     )
@@ -313,7 +318,7 @@ def run_supercuspidal(budget: int | None = None) -> SuiteReport:
         gl2_dims.Supercuspidal(s, c_chi)
         for s in range(2, 9) for c_chi in range(0, 7)
     ]
-    reps += [gl2_dims.PrincipalSeries(c1, c2)
+    reps += [_principal_series(c1, c2)
              for c1 in range(0, 7) for c2 in range(0, 7)]
     reps += [gl2_dims.SteinbergTwist(c) for c in range(0, 7)]
     qs = (2, 3, 4, 5, 7)
@@ -335,9 +340,7 @@ def run_supercuspidal(budget: int | None = None) -> SuiteReport:
         {"unramified principal series dimension equals the coset count":
             lambda p, r: _differ(
                 cosets.parabolic_index_enumerated((1, 1), p, r, budget=budget),
-                gl2_dims.PrincipalSeries(0, 0).dim(p, r),
-                representations.GenericRepresentation.from_pairs(
-                    [(1, 0), (1, 0)]).dim(p, r),
+                _principal_series(0, 0).dim(p, r),
             )},
     )
     return report

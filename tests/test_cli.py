@@ -25,7 +25,7 @@ from padic_fixvec.cli import (
 )
 from padic_fixvec.cosets import parabolic_index_closed
 from padic_fixvec.finite_ring import PRIME_CAP
-from padic_fixvec.gl2_dims import PrincipalSeries, SteinbergTwist, Supercuspidal
+from padic_fixvec.gl2_dims import SteinbergTwist, Supercuspidal
 from padic_fixvec.representations import GenericRepresentation
 
 PS_00 = '{"field": {"p": 3}, "rep": {"type": "principal-series", "c1": 0, "c2": 0}}'
@@ -154,8 +154,14 @@ def test_depth(capsys):
     payload = run_json(capsys, ["depth", spec])
     assert payload == {"depth": "3/2"}
     assert run_json(capsys, ["depth", SC_33]) == {"depth": "1/2"}
-    run_err(capsys, ["depth", INDUCED_2_1])  # two blocks
-    run_err(capsys, ["depth", PS_00])
+    # The greatest block depth, max(1/2, 0), and the characters' depths.
+    assert run_json(capsys, ["depth", INDUCED_2_1]) == {"depth": "1/2"}
+    assert run_json(capsys, ["depth", PS_00]) == {"depth": "0"}
+    ps = _spec(3, {"type": "principal-series", "c1": 1, "c2": 3})
+    assert run_json(capsys, ["depth", ps]) == {"depth": "2"}
+    for c_chi, depth in ((0, "0"), (1, "0"), (4, "3")):
+        st = _spec(3, {"type": "steinberg-twist", "c_chi": c_chi})
+        assert run_json(capsys, ["depth", st]) == {"depth": depth}
 
 
 def test_global_bounds(capsys):
@@ -381,7 +387,8 @@ def test_coset_index_bound_is_a_lower_bound(n):
 
 def test_gl2_dimension_bound_is_a_lower_bound():
     # ... and a GL_2 type's nonzero dimension at level m >= 2 by q**(m-2).
-    reps = [PrincipalSeries(c1, c2) for c1 in range(4) for c2 in range(4)]
+    reps = [GenericRepresentation.from_pairs([(1, c1), (1, c2)])
+            for c1 in range(4) for c2 in range(4)]
     reps += [SteinbergTwist(c) for c in range(4)]
     reps += [Supercuspidal(s, c) for s in range(2, 9) for c in range(5)]
     for rep, q, m in itertools.product(reps, (2, 3, 4, 5, 7, 8, 9), range(2, 9)):

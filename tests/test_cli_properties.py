@@ -149,10 +149,20 @@ def induced(conductors: list) -> str:
                        "rep": {"type": "induced", "blocks": blocks}})
 
 
+def principal_series(p: int, c1: int, c2: int) -> str:
+    return json.dumps({"field": {"p": p}, "rep": {
+        "type": "principal-series", "c1": c1, "c2": c2}})
+
+
 # Below the least level the dimension is 0: answered without the coset
 # index, whose group orders have millions of bits at these levels.
 @example(["dim", induced([0, 10**12]), "--level", "10000000"])
 @example(["dim", induced([0] * 999 + [5]), "--level", "2"])
+# The greatest depth of thousands of blocks at the digit limit.
+@example(["depth", induced([int("9" * 4300)] * 3000)])
+# A principal-series dimension past the digit limit, refused from its bound.
+@example(["dim", principal_series(20000000000021, 0, 0), "--level", "10000"])
+@example(["dim", principal_series(2, 3, 1), "--level", str(10**9), "--json"])
 @settings(derandomize=True, deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv())

@@ -10,7 +10,7 @@ from padic_fixvec.cosets import (
     parabolic_index_closed,
     parabolic_index_enumerated,
 )
-from padic_fixvec.finite_ring import det_int
+from padic_fixvec.finite_ring import det_int, gl_order, parabolic_order
 from padic_fixvec.representations import GenericRepresentation
 
 
@@ -29,6 +29,25 @@ def test_closed_index_values(partition, q, m, expected):
 def test_closed_index_rejects_level_zero():
     with pytest.raises(ValueError):
         parabolic_index_closed((1, 1), 3, 0)
+
+
+def test_closed_index_equals_the_ratio_of_group_orders():
+    # The reference: |GL_n| // |P| at level m, the index from the order
+    # formulas, on every composition of n <= 5.
+    compositions = [c for n in range(1, 6) for k in range(1, n + 1)
+                    for c in itertools.product(range(1, n + 1), repeat=k)
+                    if sum(c) == n]
+    for parts, q, m in itertools.product(
+            compositions, (2, 3, 4, 5, 7, 8, 9), range(1, 7)):
+        total, sub = gl_order(sum(parts), q, m), parabolic_order(parts, q, m)
+        assert total % sub == 0
+        assert parabolic_index_closed(parts, q, m) == total // sub, (parts, q, m)
+
+
+@pytest.mark.parametrize("partition,q", [((), 3), ((1, 0), 3), ((1, 1), 1)])
+def test_closed_index_rejects_bad_input(partition, q):
+    with pytest.raises(ValueError):
+        parabolic_index_closed(partition, q, 1)
 
 
 @pytest.mark.parametrize("partition", [(1, 1), (1, 1, 1), (1,)])

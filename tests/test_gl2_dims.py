@@ -4,7 +4,6 @@ import pytest
 
 from padic_fixvec.characters import num_classes_exact
 from padic_fixvec.gl2_dims import (
-    PrincipalSeries,
     SteinbergTwist,
     Supercuspidal,
     dim_supercuspidal_lattice,
@@ -16,13 +15,35 @@ from padic_fixvec.gl2_dims import (
 from padic_fixvec.representations import GenericRepresentation
 
 
+def principal_series(c1: int, c2: int) -> GenericRepresentation:
+    """The principal series of two characters: two GL_1 blocks."""
+    return GenericRepresentation.from_pairs([(1, c1), (1, c2)])
+
+
+def principal_series_dim(q: int, c1: int, c2: int, r: int) -> int:
+    """The reference: q**(r-1) * (q+1) at level r >= 1 when both conductors
+    are <= r, else 0."""
+    return q ** (r - 1) * (q + 1) if max(c1, c2) <= r else 0
+
+
 @pytest.mark.parametrize("q,c1,c2,r,expected", [
     (3, 0, 0, 1, 4),
     (3, 2, 0, 1, 0),
     (2, 1, 1, 2, 6),
 ])
 def test_dim_principal_series(q, c1, c2, r, expected):
-    assert PrincipalSeries(c1, c2).dim(q, r) == expected
+    assert principal_series(c1, c2).dim(q, r) == expected
+    assert principal_series_dim(q, c1, c2, r) == expected
+
+
+def test_principal_series_matches_its_closed_form():
+    for q in (2, 3, 4, 5, 7, 9):
+        for c1 in range(6):
+            for c2 in range(6):
+                for r in range(1, 9):
+                    assert principal_series(c1, c2).dim(q, r) == (
+                        principal_series_dim(q, c1, c2, r)
+                    )
 
 
 @pytest.mark.parametrize("q,c_chi,r,expected", [
@@ -156,22 +177,22 @@ def test_rep_constructors_validate():
     with pytest.raises(ValueError):
         Supercuspidal(2, -1)
     with pytest.raises(ValueError):
-        PrincipalSeries(-1, 0)
+        principal_series(-1, 0)
     with pytest.raises(ValueError):
         SteinbergTwist(-1)
     assert Supercuspidal(3, 2).conductor() == 4
 
 
 def test_dim_gl2_level_zero():
-    assert PrincipalSeries(0, 0).dim(5, 0) == 1
-    assert PrincipalSeries(1, 0).dim(5, 0) == 0
+    assert principal_series(0, 0).dim(5, 0) == 1
+    assert principal_series(1, 0).dim(5, 0) == 0
     assert SteinbergTwist(0).dim(5, 0) == 0
     assert Supercuspidal(2).dim(3, 0) == 0
 
 
 def test_dim_gl2_dispatch():
     assert Supercuspidal(2).dim(3, 1) == 2
-    assert PrincipalSeries(0, 0).dim(3, 1) == 4
+    assert principal_series(0, 0).dim(3, 1) == 4
     assert SteinbergTwist(0).dim(3, 1) == 3
     with pytest.raises(ValueError):
         SteinbergTwist(0).dim(3, -1)
@@ -181,9 +202,9 @@ def test_exact_sequence_identity():
     for q in range(2, 8):
         for c in range(0, 7):
             for r in range(1, 7):
-                assert PrincipalSeries(c, c).dim(q, r) == (
-                    (c <= r) + SteinbergTwist(c).dim(q, r)
-                )
+                assert principal_series_dim(q, c, c, r) == (
+                    principal_series(c, c).dim(q, r)
+                ) == (c <= r) + SteinbergTwist(c).dim(q, r)
 
 
 def test_dim_induced_general():
@@ -191,7 +212,7 @@ def test_dim_induced_general():
         return GenericRepresentation.from_pairs(
             [(1, c) for c in conductors]).dim(q, m)
 
-    assert dim((0, 0), 3, 1) == 4 == PrincipalSeries(0, 0).dim(3, 1)
+    assert dim((0, 0), 3, 1) == 4 == principal_series_dim(3, 0, 0, 1)
     assert dim((2,), 3, 2) == 1
     assert dim((0, 0, 0), 2, 1) == 21
     assert dim((0, 1), 3, 0) == 0
@@ -203,7 +224,7 @@ def test_dim_induced_general():
 
 
 def test_level_monotonicity_spot():
-    reps = [PrincipalSeries(2, 1), SteinbergTwist(2), Supercuspidal(5, 1)]
+    reps = [principal_series(2, 1), SteinbergTwist(2), Supercuspidal(5, 1)]
     for rep in reps:
         dims = [rep.dim(3, m) for m in range(0, 8)]
         assert dims == sorted(dims)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from padic_fixvec.cli import SpecError, load_spec
-from padic_fixvec.cosets import parabolic_index_closed
-from padic_fixvec.gl2_dims import Supercuspidal
+from padic_fixvec.cosets import parabolic_index_closed, parabolic_index_enumerated
+from padic_fixvec.gl2_dims import SteinbergTwist, Supercuspidal
 from padic_fixvec.representations import (
     ConductorWindow,
     GenericRepresentation,
@@ -156,6 +156,60 @@ def test_gl2_depths_agree():
         assert depth_esi(2, c) == Supercuspidal(c).depth()
 
 
+@pytest.mark.parametrize("pairs,expected", [
+    (((1, 0), (1, 2)), Fraction(1)),
+    (((2, 3), (1, 1)), Fraction(1, 2)),
+    (((1, 0), (1, 0), (1, 0)), Fraction(0)),
+    (((1, 5), (3, 7), (2, 2)), Fraction(4)),
+])
+def test_depth_is_the_greatest_block_depth(pairs, expected):
+    assert rep(*pairs).depth() == expected
+
+
+def test_steinberg_twist_depth_is_its_character_depth():
+    assert [SteinbergTwist(c).depth() for c in range(5)] == [0, 0, 1, 2, 3]
+
+
+LEVELS = range(1, 9)
+
+
+def _depth_criterion(rep_) -> list[bool]:
+    return [has_fixed_vector_depth(rep_.depth(), m) for m in LEVELS]
+
+
+def test_depth_criterion_is_positive_dimension_on_every_type():
+    # The paper's criterion at m >= 1: a K(m)-fixed vector exists exactly
+    # when depth <= m - 1, compared with dim > 0 for every type that has a
+    # dimension.
+    reps = [rep(*((1, c) for c in cs)) for k in (1, 2, 3)
+            for cs in itertools.product(range(5), repeat=k)]
+    reps += [SteinbergTwist(c) for c in range(7)]
+    reps += [Supercuspidal(s, c) for s in range(2, 9) for c in range(6)]
+    for rep_, q in itertools.product(reps, (2, 3, 4, 5)):
+        assert _depth_criterion(rep_) == [rep_.dim(q, m) > 0 for m in LEVELS], (
+            rep_, q)
+
+
+def test_depth_criterion_is_the_blockwise_criterion_with_size_2_blocks():
+    shapes = [((2, a),) for a in range(1, 7)]
+    shapes += [((2, a), (1, b)) for a in range(1, 7) for b in range(5)]
+    shapes += [((1, b), (2, a)) for a in range(1, 7) for b in range(5)]
+    shapes += [((2, a), (2, b)) for a in range(1, 7) for b in range(1, 7)]
+    for pairs in shapes:
+        rep_ = rep(*pairs)
+        assert _depth_criterion(rep_) == [
+            has_fixed_vector(rep_, m) for m in LEVELS], pairs
+
+
+def test_depth_criterion_on_the_unramified_principal_series_by_counting():
+    # Against the coset oracle, which uses no closed form.
+    series = rep((1, 0), (1, 0))
+    for p, top in ((2, 8), (3, 4), (5, 3)):
+        levels = range(1, top + 1)
+        assert [has_fixed_vector_depth(series.depth(), m) for m in levels] == [
+            parabolic_index_enumerated((1, 1), p, m) > 0 for m in levels], p
+
+
 def test_block_validation():
     with pytest.raises(ValueError):
         SquareIntegrableBlock(0, 1)
@@ -203,6 +257,18 @@ def _golden_reps():
     return list(reps)
 
 
+def test_depth_criterion_on_the_golden_reps():
+    # Each depth that the golden file records meets the criterion: against
+    # dim > 0 where the type has a dimension, else blockwise.
+    for rep_ in _golden_reps():
+        blocks = getattr(rep_, "blocks", ())
+        if any(b.n >= 2 for b in blocks):
+            expected = [has_fixed_vector(rep_, m) for m in LEVELS]
+        else:
+            expected = [rep_.dim(4, m) > 0 for m in LEVELS]
+        assert _depth_criterion(rep_) == expected, rep_
+
+
 def test_dim_exponent_is_a_lower_bound():
     # Every type, past its least level: dim(q, m) >= q**dim_exponent(m),
     # compared exactly where the exponent is negative. Induced reps with a
@@ -210,8 +276,14 @@ def test_dim_exponent_is_a_lower_bound():
     reps = [r for r in _golden_reps()
             if all(b.n == 1 for b in getattr(r, "blocks", ()))]
     assert {type(r).__name__ for r in reps} == {
-        "GenericRepresentation", "PrincipalSeries", "SteinbergTwist",
-        "Supercuspidal"}
+        "GenericRepresentation", "SteinbergTwist", "Supercuspidal"}
+    # The golden principal series are the reps of two GL_1 blocks, whose
+    # dimension from level 1 on is q**(m-1) * (q+1).
+    series = [r for r in reps if getattr(r, "partition", None) == (1, 1)]
+    assert len(series) >= 2
+    for r, q in itertools.product(series, (2, 3, 4, 5, 7)):
+        for m in range(max(r.min_level(), 1), 9):
+            assert r.dim(q, m) == q ** (m - 1) * (q + 1), (r, q, m)
     reps += [Supercuspidal(s, c) for s in range(2, 9) for c in range(4)]
     for r, q in itertools.product(reps, (2, 3, 4, 5, 7)):
         for m in range(r.min_level(), 9):
