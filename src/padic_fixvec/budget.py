@@ -3,16 +3,11 @@
 Every brute-force oracle in this package is gated by an explicit candidate
 budget so that infeasible instances fail loudly instead of running for hours.
 One gate, require, serves every enumeration oracle: GL_n, the parabolic
-rows, the coset flags and the unit dual. It resolves the budget from a
-``budget=`` argument, else the PADIC_FIXVEC_BUDGET environment variable,
-else the oracle's default, 10**8 matrix candidates for the matrix and coset
-enumerations and 10**6 characters for the unit dual, and raises
-BudgetExceededError when the oracle's candidate count exceeds it.
+rows, the coset flags and the unit dual. The budget is the ``budget=``
+argument, else the oracle's default, 10**8 matrix candidates for the matrix
+and coset enumerations and 10**6 characters for the unit dual; the gate
+raises BudgetExceededError when the oracle's candidate count exceeds it.
 """
-
-import os
-
-ENV_BUDGET = "PADIC_FIXVEC_BUDGET"
 
 DEFAULT_CANDIDATE_BUDGET = 10**8
 DEFAULT_UNIT_DUAL_BUDGET = 10**6
@@ -70,11 +65,9 @@ def parse_budget(text: str) -> int:
 def require(required: int, budget: int | None, default: int, what: str) -> None:
     """The budget gate: raise BudgetExceededError when the `required`
     candidates of `what` exceed the budget. The budget is the explicit
-    argument, which must be an int >= 1, else the PADIC_FIXVEC_BUDGET
-    environment variable, else `default`."""
+    argument, which must be an int >= 1, else `default`."""
     if budget is None:
-        env = os.environ.get(ENV_BUDGET)
-        budget = parse_budget(env) if env else default
+        budget = default
     elif isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     if required > budget:

@@ -368,10 +368,10 @@ def cmd_kirillov_basis(args) -> int:
             " supercuspidals only (twist_conductor 0); twisted conductors of"
             " individual classes are not determined by conductors alone"
         )
-    # The counts sum to dim's answer, so dim's refusals cover them (there are
-    # no groups at a negative level). Groups are built only below the cap.
+    # The counts sum to dim's answer, so dim's refusals cover them. Groups
+    # are built only below the cap.
     r = args.level
-    _dim_rows(parsed, max(r, 0))
+    _dim_rows(parsed, r)
     q = parsed.p**parsed.f
     _refuse_past(q, r, f"level: {r} gives Kirillov basis groups with counts"
                  f" near q**{r}", KIRILLOV_DIGITS // max(r, 1),
@@ -495,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
-        # A library warning is one line, not the location that raised it.
+        # A library warning is one line, not the location that raised it,
+        # and never an error, whatever -W or PYTHONWARNINGS asks.
+        warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(
             f"warning: {message}", file=sys.stderr)
         try:

@@ -71,23 +71,6 @@ def _add_row(row: tuple[int, ...], echelon: Rows, p: int, pm: int) -> Rows | Non
     return (*above[:at], row, *above[at:])
 
 
-def _unit_echelon(rows: Rows, p: int, pm: int) -> Rows | None:
-    """The reduced row echelon form, with unit pivots, of the span of rows
-    over Z/p^m; None when the rows are dependent mod p. A fold of _add_row
-    over the rows, first to last.
-
-    Rows independent mod p span a free direct summand, and this form is
-    canonical for it: the pivot columns are those of the span mod p, and
-    the pivot block is the identity.
-    """
-    echelon: Rows | None = ()
-    for row in rows:
-        echelon = _add_row(row, echelon, p, pm)
-        if echelon is None:
-            return None
-    return echelon
-
-
 def parabolic_index_enumerated(
     partition: Sequence[int], p: int, m: int, budget: int | None = None
 ) -> int:

@@ -5,12 +5,12 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 import padic_fixvec
-from padic_fixvec.budget import ENV_BUDGET
 from padic_fixvec.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -214,6 +214,15 @@ def test_kirillov_basis(capsys):
         ' "minimal_conductor": 2, "twist_conductor": 3}}'
     )
     run_err(capsys, ["kirillov-basis", twisted, "--level", "2"])
+
+
+def test_kirillov_basis_rejects_a_negative_level(capsys):
+    for extra in ([], ["--c-psi", "5"]):
+        assert main(["kirillov-basis", SC_33, "--level", "-3", *extra]) == (
+            EXIT_INPUT)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "level must be >= 0" in err
 
 
 @pytest.mark.parametrize("p,level", [(3, 9020), (3, 13000), (2, 3 * 10**6)])
@@ -454,6 +463,14 @@ def test_library_warning_is_one_line(capsys):
     assert out.startswith("conductor   0\n")
     assert err == ("warning: block GL_2 with conductor 0 is implausible for a"
                    " square-integrable factor; accepted anyway\n")
+    # -W error or PYTHONWARNINGS=error leaves the answer and the exit code.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["min-level", spec]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("min_level  0\n")
+    assert err.startswith("warning: block GL_2 with conductor 0") and (
+        err.count("\n") == 1)
 
 
 def test_a_directory_is_not_a_spec_file(capsys, tmp_path):
@@ -487,21 +504,18 @@ def test_verify_rejects_bad_budget(capsys):
         assert "budget must be an integer from 1 to 10^18" in err
 
 
-def test_verify_budget_from_env_reaches_the_unit_dual(monkeypatch, capsys):
+def test_verify_budget_reaches_the_unit_dual(capsys):
     # Budget 1 skips every unit dual of order above 1, so the dual-size
-    # check runs no instance and fails, whether the budget comes from
-    # --budget or from the environment.
+    # check runs no instance and fails.
     assert main(["verify", "--suite", "characters", "--budget", "1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv(ENV_BUDGET, "1")
-    assert main(["verify", "--suite", "characters"]) == 2
     assert "[characters] FAILED" in capsys.readouterr().out
 
 
-def test_verify_rejects_bad_budget_from_env(monkeypatch, capsys):
-    monkeypatch.setenv(ENV_BUDGET, "0")
-    err = run_err(capsys, ["verify", "--suite", "cosets"])
-    assert "budget" in err
+def test_verify_budget_ignores_the_environment(monkeypatch, capsys):
+    # The environment does not set the budget; only --budget does.
+    monkeypatch.setenv("PADIC_FIXVEC_BUDGET", "1")
+    assert main(["verify", "--suite", "characters"]) == EXIT_OK
+    assert "[characters] passed" in capsys.readouterr().out
 
 
 def test_spec_from_file(tmp_path, capsys):

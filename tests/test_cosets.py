@@ -6,7 +6,6 @@ import pytest
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.cosets import (
     _add_row,
-    _unit_echelon,
     parabolic_index_closed,
     parabolic_index_enumerated,
 )
@@ -124,9 +123,20 @@ def _echelon_from_scratch(rows, p, pm):
     return tuple(tuple(row) for row in echelon)
 
 
+def _unit_echelon(rows, p, pm):
+    """The oracle's key of the span of rows: _add_row folded over them,
+    first to last; None when they are dependent mod p."""
+    echelon = ()
+    for row in rows:
+        echelon = _add_row(row, echelon, p, pm)
+        if echelon is None:
+            return None
+    return echelon
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (5, 1)])
 def test_unit_echelon_is_a_canonical_span_key(p, m):
-    # The row-by-row oracle keys partial flags by _unit_echelon, so the key
+    # The row-by-row oracle keys partial flags by folding _add_row, so the key
     # must depend on the span alone and absorb a new row the same way. The
     # oracle's one-row step _add_row(row, key) must equal the echelon form
     # of the whole stack from scratch, and be None exactly when the new
