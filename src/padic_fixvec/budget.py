@@ -51,7 +51,7 @@ def parse_budget(text: str) -> int:
             value = int(text)
         else:
             value = float(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # 0^-1 divides by zero
         value = None
     if isinstance(value, float) and value.is_integer():
         value = int(value)

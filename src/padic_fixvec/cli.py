@@ -35,7 +35,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, astuple, dataclass
 from typing import Callable, NamedTuple
 
 from .budget import parse_budget
@@ -53,8 +52,7 @@ class SpecError(ValueError):
     """Invalid representation spec; the message carries the field path."""
 
 
-@dataclass(frozen=True)
-class ParsedSpec:
+class ParsedSpec(NamedTuple):
     """A checked spec: a prime p, a residue degree f >= 1, a representation
     and the spec type it was read as, a key of SPECS."""
 
@@ -138,10 +136,11 @@ SPECS = {
         ("c1", 0, None), ("c2", 0, None)),
         "principal series closed form", "sum of the two character conductors"),
     "steinberg-twist": SpecType(*_int_fields(
-        SteinbergTwist, astuple, ("c_chi", 0, None)),
+        SteinbergTwist, lambda rep: (rep.c_chi,), ("c_chi", 0, None)),
         "Steinberg twist closed form", None),
     "supercuspidal": SpecType(*_int_fields(
-        Supercuspidal, astuple, ("minimal_conductor", 2, None),
+        Supercuspidal, lambda rep: (rep.s, rep.c_chi),
+        ("minimal_conductor", 2, None),
         ("twist_conductor", 0, 0)),
         "supercuspidal closed form",
         "max(minimal_conductor, 2 * twist_conductor)"),
@@ -399,9 +398,11 @@ def cmd_kirillov_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from dataclasses import asdict
+
     from . import verify
 
-    budget = parse_budget(args.budget) if args.budget else None
+    budget = None if args.budget is None else parse_budget(args.budget)
     if args.suite == "all":
         reports = verify.run_all(budget)
     else:

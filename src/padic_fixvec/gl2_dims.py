@@ -17,23 +17,24 @@ their twist orbit, whose conductor meets a twisting character in
 c = max(s, 2*c_chi).
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .characters import num_classes_exact
-from .representations import depth_esi
+from .representations import Value, depth_esi
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class SteinbergTwist:
+class SteinbergTwist(Value):
     """Steinberg twisted by a quasi-character of conductor c_chi."""
 
-    c_chi: int
+    __slots__ = ("c_chi",)
 
-    def __post_init__(self):
-        if self.c_chi < 0:
+    def __init__(self, c_chi: int):
+        if c_chi < 0:
             raise ValueError("conductor must be >= 0")
+        object.__setattr__(self, "c_chi", c_chi)
 
     def conductor(self) -> int:
         raise ValueError(
@@ -44,8 +45,10 @@ class SteinbergTwist:
     def min_level(self) -> int:
         return max(self.c_chi, 1)
 
-    def depth(self) -> Fraction:
+    def depth(self) -> "Fraction":
         """max(c_chi, 1) - 1, the twisting character's; Steinberg's is 0."""
+        from fractions import Fraction
+
         return Fraction(self.min_level() - 1)
 
     def dim(self, q: int, m: int) -> int:
@@ -61,21 +64,20 @@ class SteinbergTwist:
         return m - 2
 
 
-@dataclass(frozen=True)
-class Supercuspidal:
+class Supercuspidal(Value):
     """A supercuspidal given by the minimal conductor s among its twists
     (always >= 2) and the conductor of the twisting quasi-character."""
 
-    s: int
-    c_chi: int = 0
+    __slots__ = ("s", "c_chi")
 
-    def __post_init__(self):
-        if self.s < 2:
-            raise ValueError(
-                f"minimal supercuspidal conductor must be >= 2, got {self.s}"
-            )
-        if self.c_chi < 0:
+    def __init__(self, s: int, c_chi: int = 0):
+        if s < 2:
+            raise ValueError("minimal supercuspidal conductor must be"
+                             f" >= 2, got {s}")
+        if c_chi < 0:
             raise ValueError("twist conductor must be >= 0")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "c_chi", c_chi)
 
     def conductor(self) -> int:
         return twisted_conductor_minimal(self.s, self.c_chi)
@@ -83,7 +85,7 @@ class Supercuspidal:
     def min_level(self) -> int:
         return -(-self.conductor() // 2)
 
-    def depth(self) -> Fraction:
+    def depth(self) -> "Fraction":
         return depth_esi(2, self.conductor())
 
     def dim(self, q: int, m: int) -> int:

@@ -8,12 +8,11 @@ radical and its conductor_bounds(n). Everything here is arithmetic over the
 ground field of rational numbers; number-field generality is out of scope.
 """
 
-from dataclasses import dataclass, field
 from itertools import chain, count
 from math import gcd, prod
 
 from .finite_ring import is_prime
-from .representations import ConductorWindow
+from .representations import ConductorWindow, Value
 
 MAX_N = 10**18
 # factorize trial-divides below TRIAL_BOUND; Pollard-Brent takes the rest,
@@ -22,19 +21,17 @@ TRIAL_BOUND = 1000
 GCD_BATCH = 128
 
 
-@dataclass(frozen=True)
-class GlobalLevel:
+class GlobalLevel(Value):
     """A level 1 <= N <= 10**18 with its prime factorization from
     factorize(N): (prime, exponent) pairs, primes strictly increasing; and
     its radical, the product of the distinct primes dividing N (1 when
     N = 1). Both are computed once, when the level is built."""
 
-    N: int
-    factorization: tuple[tuple[int, int], ...] = field(init=False)
-    radical: int = field(init=False, repr=False)
+    __slots__ = ("N", "factorization", "radical")
 
-    def __post_init__(self):
-        factorization = factorize(self.N)
+    def __init__(self, N: int):
+        factorization = factorize(N)
+        object.__setattr__(self, "N", N)
         object.__setattr__(self, "factorization", factorization)
         object.__setattr__(self, "radical", prod(p for p, _ in factorization))
 

@@ -6,14 +6,53 @@ of GL_2 is the one with two GL_1 blocks. The fixed-vector criteria for
 principal congruence subgroups, the depth, the conductor windows and the
 fixed-space dimension of an induced representation all reduce to exact
 integer and rational arithmetic on this data.
+
+Every value type of the package is a Value: immutable, with __slots__, and
+equal to another exactly when both have the same type and fields. A depth
+imports fractions where it builds one, so no other query loads it.
 """
 
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .cosets import parabolic_index_closed
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+class Value:
+    """Base of the immutable value types. A subclass names its fields in
+    __slots__ and sets them in __init__ through object.__setattr__. Equality
+    (same type only), hashing and the Type(field=value, ...) repr read the
+    fields; copy and pickle restore them through __setstate__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name}")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class Representation(Protocol):
@@ -25,7 +64,7 @@ class Representation(Protocol):
 
     def min_level(self) -> int: ...
 
-    def depth(self) -> Fraction: ...
+    def depth(self) -> "Fraction": ...
 
     def dim(self, q: int, m: int) -> int: ...
 
@@ -38,38 +77,37 @@ class ImplausibleConductorWarning(UserWarning):
     """A square-integrable block of size >= 2 was given conductor 0."""
 
 
-@dataclass(frozen=True)
-class SquareIntegrableBlock:
+class SquareIntegrableBlock(Value):
     """One essentially square integrable block: a GL_n factor with its conductor."""
 
-    n: int
-    conductor: int
+    __slots__ = ("n", "conductor")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"block size must be >= 1, got {self.n}")
-        if self.conductor < 0:
-            raise ValueError(f"conductor must be >= 0, got {self.conductor}")
-        if self.n >= 2 and self.conductor == 0:
+    def __init__(self, n: int, conductor: int):
+        if n < 1:
+            raise ValueError(f"block size must be >= 1, got {n}")
+        if conductor < 0:
+            raise ValueError(f"conductor must be >= 0, got {conductor}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "conductor", conductor)
+        if n >= 2 and conductor == 0:
             warnings.warn(
-                f"block GL_{self.n} with conductor 0 is implausible for a "
+                f"block GL_{n} with conductor 0 is implausible for a "
                 "square-integrable factor; accepted anyway",
                 ImplausibleConductorWarning,
                 stacklevel=2,
             )
 
 
-@dataclass(frozen=True)
-class GenericRepresentation:
+class GenericRepresentation(Value):
     """Ordered square-integrable blocks of a parabolically induced
     representation; a Representation, like the GL_2 types in gl2_dims."""
 
-    blocks: tuple[SquareIntegrableBlock, ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        if len(self.blocks) == 0:
+    def __init__(self, blocks: Sequence[SquareIntegrableBlock]):
+        if len(blocks) == 0:
             raise ValueError("a representation needs at least one block")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "GenericRepresentation":
@@ -92,7 +130,7 @@ class GenericRepresentation:
         """Least level with a fixed vector: max over blocks of ceil(c_i / n_i)."""
         return max(-(-b.conductor // b.n) for b in self.blocks)
 
-    def depth(self) -> Fraction:
+    def depth(self) -> "Fraction":
         """The greatest block depth: parabolic induction preserves depth."""
         return max(depth_esi(b.n, b.conductor) for b in self.blocks)
 
@@ -125,9 +163,11 @@ class GenericRepresentation:
         return m * (self.n**2 - sum(k * k for k in self.partition)) // 2
 
 
-def depth_esi(n: int, c: int) -> Fraction:
+def depth_esi(n: int, c: int) -> "Fraction":
     """Depth of an essentially square integrable representation of GL_n with
     conductor c: max((c - n)/n, 0), exactly."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if c < 0:
@@ -142,7 +182,7 @@ def has_fixed_vector_esi(n: int, c: int, m: int) -> bool:
     return c <= m * n
 
 
-def has_fixed_vector_depth(depth: Fraction, m: int) -> bool:
+def has_fixed_vector_depth(depth: "Fraction", m: int) -> bool:
     """Depth criterion at positive level m: depth <= m - 1, compared exactly."""
     if m < 1:
         raise ValueError(f"the depth criterion needs level m >= 1, got {m}")
@@ -163,18 +203,18 @@ def has_fixed_vector(rep: GenericRepresentation, m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ConductorWindow:
+class ConductorWindow(Value):
     """Inclusive integer range [lo, hi], 0 <= lo <= hi: the conductors (or
     the conductor exponents at one prime) that a closed-form criterion
     allows. The verify windows suite checks every window on a grid."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if not 0 <= self.lo <= self.hi:
-            raise ValueError(f"need 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int):
+        if not 0 <= lo <= hi:
+            raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def contains(self, c: int) -> bool:
         return self.lo <= c <= self.hi

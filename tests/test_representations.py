@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import time
 import warnings
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from padic_fixvec.cli import SpecError, load_spec
 from padic_fixvec.cosets import parabolic_index_closed, parabolic_index_enumerated
 from padic_fixvec.gl2_dims import SteinbergTwist, Supercuspidal
+from padic_fixvec.global_bounds import GlobalLevel
 from padic_fixvec.representations import (
     ConductorWindow,
     GenericRepresentation,
@@ -326,3 +329,46 @@ def test_induced_dim_below_min_level_builds_no_coset_index():
     start = time.process_time()
     assert rep((1, 0), (1, 10**12)).dim(2, 10**7) == 0
     assert time.process_time() - start < 0.5
+
+
+# Each value type with its fields, its constructor arguments (built twice,
+# to give equal values) and the arguments of a different value.
+VALUES = [
+    (SquareIntegrableBlock, ("n", "conductor"), (2, 3), (2, 4)),
+    (GenericRepresentation, ("blocks",), ((SquareIntegrableBlock(1, 2),),),
+     ((SquareIntegrableBlock(1, 3),),)),
+    (ConductorWindow, ("lo", "hi"), (1, 2), (1, 3)),
+    (GlobalLevel, ("N", "factorization", "radical"), (12,), (18,)),
+    (SteinbergTwist, ("c_chi",), (3,), (4,)),
+    (Supercuspidal, ("s", "c_chi"), (2, 3), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("cls,fields,args,other", VALUES,
+                         ids=[case[0].__name__ for case in VALUES])
+def test_value_semantics(cls, fields, args, other):
+    value = cls(*args)
+    assert value == cls(*args) and hash(value) == hash(cls(*args))
+    assert value != cls(*other)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value
+        assert hash(clone) == hash(value)
+
+
+def test_values_of_different_types_differ():
+    assert Supercuspidal(2, 3) != SquareIntegrableBlock(2, 3)
+    assert SquareIntegrableBlock(2, 3) != Supercuspidal(2, 3)
+    assert ConductorWindow(1, 2) != (1, 2)
+    assert SteinbergTwist(3) != (3,)
+
+
+def test_value_repr_names_its_fields():
+    assert repr(GlobalLevel(12).conductor_bounds(2)) == (
+        "ConductorWindow(lo=6, hi=144)")
+    assert repr(Supercuspidal(3)) == "Supercuspidal(s=3, c_chi=0)"

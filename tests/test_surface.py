@@ -55,6 +55,23 @@ def test_demo_runs(demo):
     assert result.stdout.strip()
 
 
+# What a padic-fixvec process must not import: dataclasses pulls in
+# inspect, ast, dis and tokenize; fractions pulls in decimal. Only the
+# verify subcommand and depth load them, when they run.
+HEAVY_MODULES = {"dataclasses", "inspect", "fractions", "decimal"}
+CLOSURE = ("import sys; before = set(sys.modules); import padic_fixvec.cli;"
+           " print(*sorted(set(sys.modules) - before))")
+
+
+def test_cli_import_closure_is_light():
+    result = subprocess.run([sys.executable, "-c", CLOSURE],
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    added = set(result.stdout.split())
+    assert "padic_fixvec.cli" in added
+    assert added & HEAVY_MODULES == set()
+
+
 def _bench_constant(script: str, name: str):
     """A literal constant of a bench script, read without importing bench/."""
     tree = ast.parse((ROOT / "bench" / script).read_text(encoding="utf-8"))
