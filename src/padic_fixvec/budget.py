@@ -30,14 +30,15 @@ class BudgetExceededError(RuntimeError):
 
 
 def parse_budget(text: str) -> int:
-    """Parse a budget written as '100000000', '10^8' or '1e8'.
+    """Parse a budget written as '100000000', '10^8' or '1e8'; the last is
+    read exactly, as a decimal.
 
     A budget is an integer from 1 to MAX_BUDGET; anything else raises
     ValueError, because a zero, negative or fractional budget would skip
     every oracle it gates and let the check pass on no instances.
     """
     text = text.strip()
-    value: int | float | None
+    value: int | None
     try:
         if "^" in text:
             base, exp = (int(part) for part in text.split("^", 1))
@@ -50,12 +51,16 @@ def parse_budget(text: str) -> int:
         elif text.lstrip("+-").isdigit():
             value = int(text)
         else:
-            value = float(text)
-    except (ValueError, ZeroDivisionError):  # 0^-1 divides by zero
+            float(text)  # decides which strings are numbers, e.g. '1e8'
+            from decimal import Decimal  # reads them exactly, unlike float
+
+            exact = Decimal(text)
+            # Bounded before int(), so '1e1000000000' is refused at once.
+            value = (int(exact) if exact.is_finite() and 1 <= exact <= MAX_BUDGET
+                     and exact == exact.to_integral_value() else None)
+    except (ValueError, ArithmeticError):  # 0^-1 divides by zero
         value = None
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or not 1 <= value <= MAX_BUDGET:
+    if value is None or not 1 <= value <= MAX_BUDGET:
         raise ValueError(
             f"budget must be an integer from 1 to 10^18, got {text!r}"
         )

@@ -3,7 +3,9 @@
 Subcommands take a representation spec (a JSON file path or an inline JSON
 string), dispatch to the closed-form computations, and print either a
 human-readable key/value listing or, with --json, a canonical JSON object
-(UTF-8, keys sorted, byte-identical across identical invocations).
+(UTF-8, keys sorted, byte-identical across identical invocations). main
+loads every spec, answers --emit-spec and passes the parsed spec on to the
+command; _emit writes every key/value answer. A closed stdout exits 1 quietly.
 
 The five spec queries (dim, has-fixed, min-level, conductor, depth) are one
 command driven by the QUERIES table: each entry asks the representation's
@@ -31,11 +33,12 @@ Spec schema::
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import warnings
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .budget import parse_budget
 from .finite_ring import is_prime
@@ -205,25 +208,23 @@ def spec_to_dict(parsed: ParsedSpec) -> dict:
             "rep": {"type": parsed.type, **SPECS[parsed.type].dump(parsed.rep)}}
 
 
-def _print_json(payload) -> None:
+def _print_json(payload) -> int:
     print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-
-
-def _emit(args, payload: dict, rows: list[tuple[str, object]]) -> int:
-    if args.json:
-        _print_json(payload)
-    else:
-        width = max(len(key) for key, _ in rows)
-        for key, value in rows:
-            print(f"{key.ljust(width)}  {value}")
     return EXIT_OK
 
 
-def _maybe_emit_spec(args, parsed: ParsedSpec) -> bool:
-    if getattr(args, "emit_spec", False):
-        _print_json(spec_to_dict(parsed))
-        return True
-    return False
+def _emit(args, payload: dict, rows: Iterable[tuple[str, object]]) -> int:
+    """payload as JSON under --json, else rows as a table, with booleans as
+    JSON spells them. Only the table reads rows, which may be a generator."""
+    if args.json:
+        return _print_json(payload)
+    rows = list(rows)
+    width = max(len(key) for key, _ in rows)
+    for key, value in rows:
+        if isinstance(value, bool):
+            value = json.dumps(value)
+        print(f"{key.ljust(width)}  {value}")
+    return EXIT_OK
 
 
 # kirillov-basis refuses a level r at which q**r has more than this // r
@@ -314,15 +315,8 @@ QUERIES = {
 
 
 def cmd_query(args) -> int:
-    parsed = load_spec(args.spec)
-    if _maybe_emit_spec(args, parsed):
-        return EXIT_OK
-    rows = args.query.rows(parsed, getattr(args, "level", None))
-    # The table spells booleans as JSON does: true, false.
-    return _emit(args, dict(rows), [
-        (key, json.dumps(value) if isinstance(value, bool) else value)
-        for key, value in rows
-    ])
+    rows = args.query.rows(args.spec, getattr(args, "level", None))
+    return _emit(args, dict(rows), rows)
 
 
 def cmd_global_bounds(args) -> int:
@@ -355,9 +349,7 @@ def cmd_global_bounds(args) -> int:
 
 
 def cmd_kirillov_basis(args) -> int:
-    parsed = load_spec(args.spec)
-    if _maybe_emit_spec(args, parsed):
-        return EXIT_OK
+    parsed = args.spec
     rep = parsed.rep
     if not isinstance(rep, Supercuspidal):
         raise SpecError("rep.type: kirillov-basis needs a supercuspidal spec")
@@ -386,20 +378,17 @@ def cmd_kirillov_basis(args) -> int:
     dimension = sum(g["count"] for g in groups)
     payload = {"c_psi": args.c_psi, "dimension": dimension, "groups": groups,
                "level": r, "q": q}
-    if args.json:  # at large levels the table rows are slow to build
-        _print_json(payload)
-        return EXIT_OK
-    rows = [("dimension", dimension), ("level", r), ("q", q), ("c_psi", args.c_psi)]
-    rows += [(f"twist conductor {g['twist_conductor']}",
+    # At large levels the group lines are slow to build, and --json skips them.
+    lines = ((f"twist conductor {g['twist_conductor']}",
               f"classes {g['num_classes']}, supports"
               f" [{g['support_min']}..{g['support_max']}], count {g['count']}")
-             for g in groups] or [("basis", "(empty)")]
-    return _emit(args, payload, rows)
+             for g in groups)
+    return _emit(args, payload, itertools.chain(
+        [("dimension", dimension), ("level", r), ("q", q), ("c_psi", args.c_psi)],
+        lines if groups else [("basis", "(empty)")]))
 
 
 def cmd_verify(args) -> int:
-    from dataclasses import asdict
-
     from . import verify
 
     budget = None if args.budget is None else parse_budget(args.budget)
@@ -408,7 +397,8 @@ def cmd_verify(args) -> int:
     else:
         reports = [verify.SUITES[args.suite](budget)]
     if args.json:
-        _print_json([{**asdict(r), "passed": r.passed} for r in reports])
+        _print_json([{**vars(r), "checks": [c._asdict() for c in r.checks],
+                      "passed": r.passed} for r in reports])
     else:
         for r in reports:
             for check in r.checks:
@@ -502,9 +492,18 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(
             f"warning: {message}", file=sys.stderr)
         try:
-            return args.func(args)
+            if "spec" in args:
+                args.spec = load_spec(args.spec)
+            code = (_print_json(spec_to_dict(args.spec))
+                    if getattr(args, "emit_spec", False) else args.func(args))
+            sys.stdout.flush()  # a closed stdout raises here, not at exit
+            return code
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except BrokenPipeError:
+            # The reader has gone: the exit-time flush writes to nothing.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return EXIT_INPUT
 
 

@@ -15,9 +15,10 @@ Four suites, each pure and deterministic:
 - windows: conductor/depth/level criteria for induced representations,
   exhaustively on a small grid, plus the global conductor-bound sweeps.
 
-Every check goes through SuiteReport.check: a stream of cases and a test
-per check name, each test returning a failure detail or a false value.
-Several names may share one stream, which is then generated once. Cases
+SuiteReport.check is the only writer of checks and notes (run_windows
+only moves one check): it takes a stream of cases and a test per check
+name, each test returning a failure detail or a false value. Several
+names may share one stream, which is then generated once. Cases
 that exceed the enumeration budget are recorded as notes, not failures. A
 check that runs no instance at all fails, so no suite passes vacuously.
 The acceptance tests in tests/test_acceptance.py read these checks by name.
@@ -27,9 +28,8 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import characters as chars
 from . import cosets, finite_ring, gl2_dims, global_bounds, representations
@@ -49,8 +49,7 @@ PARABOLIC_COUNT_CASES = [
 ]
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One verified identity: a name, a verdict, and failure details."""
 
     name: str
@@ -58,33 +57,17 @@ class Check:
     detail: str = ""
 
 
-@dataclass
 class SuiteReport:
     """Outcome of one suite: its checks plus informational notes."""
 
-    suite: str
-    checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks: list[Check] = []
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def add(self, name: str, failures: list[str], instances: int) -> None:
-        """Record a check that collected per-instance failure strings. A
-        check with no instances fails: it verified nothing."""
-        if failures:
-            shown = "; ".join(failures[:MAX_FAILURE_DETAILS])
-            if len(failures) > MAX_FAILURE_DETAILS:
-                shown += f"; ... {len(failures)} failures total"
-            self.checks.append(Check(name, False, shown))
-        else:
-            self.checks.append(
-                Check(name, instances > 0, f"{instances} instances")
-            )
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
 
     def check(self, cases: Iterable[tuple], tests: dict[str, Callable]):
         """Run every named test on every case and record one Check per name,
@@ -94,7 +77,8 @@ class SuiteReport:
         a false value when its identity holds for the case. The cases are
         iterated once, so a generator is never held in memory. A case whose
         oracle exceeds the budget becomes a note naming the check, and is
-        not counted as an instance.
+        not counted as an instance. A check with no instances fails: it
+        verified nothing. At most MAX_FAILURE_DETAILS failures are shown.
         """
         failures: dict[str, list[str]] = {name: [] for name in tests}
         instances = dict.fromkeys(tests, 0)
@@ -103,13 +87,17 @@ class SuiteReport:
                 try:
                     detail = test(*case)
                 except BudgetExceededError as exc:
-                    self.note(f"{name}: {case} skipped: {exc}")
+                    self.notes.append(f"{name}: {case} skipped: {exc}")
                     continue
                 instances[name] += 1
                 if detail:
                     failures[name].append(f"{case}: {detail}")
-        for name in tests:
-            self.add(name, failures[name], instances[name])
+        for name, failed in failures.items():
+            shown = "; ".join(failed[:MAX_FAILURE_DETAILS])
+            if len(failed) > MAX_FAILURE_DETAILS:
+                shown += f"; ... {len(failed)} failures total"
+            self.checks.append(Check(name, not failed and instances[name] > 0,
+                                     shown or f"{instances[name]} instances"))
 
 
 def _differ(*values) -> str | None:

@@ -2,6 +2,7 @@ import argparse
 import ast
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import padic_fixvec
+from padic_fixvec.budget import parse_budget
 from padic_fixvec.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -32,6 +34,11 @@ PS_00 = '{"field": {"p": 3}, "rep": {"type": "principal-series", "c1": 0, "c2": 
 SC_33 = (
     '{"field": {"p": 3},'
     ' "rep": {"type": "supercuspidal", "minimal_conductor": 3}}'
+)
+# The README's kirillov-basis spec.
+SC_2_2 = (
+    '{"field": {"p": 2}, "rep": {"type": "supercuspidal",'
+    ' "minimal_conductor": 2}}'
 )
 INDUCED_2_1 = (
     '{"field": {"p": 5}, "rep": {"type": "induced",'
@@ -187,10 +194,7 @@ def test_global_bounds(capsys):
 
 
 def test_kirillov_basis(capsys):
-    spec = (
-        '{"field": {"p": 2}, "rep": {"type": "supercuspidal",'
-        ' "minimal_conductor": 2}}'
-    )
+    spec = SC_2_2
     payload = run_json(capsys, ["kirillov-basis", spec, "--level", "2"])
     assert payload["dimension"] == 4
     assert payload["c_psi"] == 0
@@ -214,6 +218,59 @@ def test_kirillov_basis(capsys):
         ' "minimal_conductor": 2, "twist_conductor": 3}}'
     )
     run_err(capsys, ["kirillov-basis", twisted, "--level", "2"])
+
+
+def test_kirillov_basis_table(capsys):
+    out = run_ok(capsys, ["kirillov-basis", SC_2_2, "--level", "2"])
+    assert out == (
+        "dimension          4\n"
+        "level              2\n"
+        "q                  2\n"
+        "c_psi              0\n"
+        "twist conductor 0  classes 1, supports [0..2], count 3\n"
+        "twist conductor 2  classes 1, supports [2..2], count 1\n"
+    )
+
+
+def test_kirillov_basis_emit_spec(capsys):
+    out = run_ok(capsys, ["kirillov-basis", SC_2_2, "--level", "2",
+                          "--emit-spec"])
+    assert json.loads(out) == {
+        "field": {"p": 2, "f": 1},
+        "rep": {"type": "supercuspidal", "minimal_conductor": 2,
+                "twist_conductor": 0},
+    }
+
+
+def _cli_process(argv, env=None):
+    return subprocess.Popen(
+        [sys.executable, "-m", "padic_fixvec.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["table", "json"])
+def test_a_closed_stdout_ends_the_process_quietly(extra):
+    # About 900 KB of output, far past a pipe's buffer, so the process is
+    # still writing when the reader goes.
+    proc = _cli_process(["kirillov-basis", SC_2_2, "--level", "1500", *extra])
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_INPUT
+    assert err == b""  # no traceback
+
+
+def test_a_stdout_closed_before_a_buffered_answer_ends_quietly():
+    # Block-buffered, a short answer is written only when it is flushed.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = _cli_process(["global-bounds", "--n", "2", "--level-N", "12"], env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_INPUT
+    assert err == b""
 
 
 def test_kirillov_basis_rejects_a_negative_level(capsys):
@@ -506,6 +563,21 @@ def test_verify_rejects_bad_budget(capsys):
         assert "budget must be an integer from 1 to 10^18" in err
 
 
+def test_parse_budget_reads_e_notation_exactly():
+    # Both lie past 2**53, where a float would round them.
+    assert parse_budget("9.007199254740993e15") == 9007199254740993
+    assert parse_budget("123456789012345678e0") == 123456789012345678
+    for text, value in [("1e8", 10**8), ("1.5e3", 1500), ("100.0", 100),
+                        (" 1e8 ", 10**8)]:
+        assert parse_budget(text) == value
+    for text in ("1e-3", "1e19", "nan", "inf", "1e1000000000", "1__0",
+                 "1e_8"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            parse_budget(text)
+        assert time.perf_counter() - start < 1
+
+
 def test_verify_budget_reaches_the_unit_dual(capsys):
     # Budget 1 skips every unit dual of order above 1, so the dual-size
     # check runs no instance and fails.
@@ -596,6 +668,7 @@ def test_json_output_is_deterministic(capsys):
      ' [{"n": 1, "conductor": 0, "q": 9}]}}', "rep.blocks[0]"),
     ('{"field": {"p": 3}, "rep": {"type": "principal-series", "c1": true,'
      ' "c2": 0}}', "rep.c1"),
+    ('{"field": {"p": 3}}', "spec.rep: missing"),
     ("{not json", "invalid JSON"),
     ("/no/such/file.json", "neither an existing file nor inline JSON"),
 ])

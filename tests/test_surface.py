@@ -56,8 +56,8 @@ def test_demo_runs(demo):
 
 
 # What a padic-fixvec process must not import: dataclasses pulls in
-# inspect, ast, dis and tokenize; fractions pulls in decimal. Only the
-# verify subcommand and depth load them, when they run.
+# inspect, ast, dis and tokenize; fractions pulls in decimal. Only depth,
+# verify and a budget in e-notation load fractions or decimal, when they run.
 HEAVY_MODULES = {"dataclasses", "inspect", "fractions", "decimal"}
 CLOSURE = ("import sys; before = set(sys.modules); import padic_fixvec.cli;"
            " print(*sorted(set(sys.modules) - before))")
@@ -70,6 +70,17 @@ def test_cli_import_closure_is_light():
     added = set(result.stdout.split())
     assert "padic_fixvec.cli" in added
     assert added & HEAVY_MODULES == set()
+
+
+def test_verify_import_closure_has_no_dataclasses():
+    # Its reports are a NamedTuple and a plain class.
+    code = CLOSURE.replace("padic_fixvec.cli", "padic_fixvec.verify")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    added = set(result.stdout.split())
+    assert "padic_fixvec.verify" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis"} == set()
 
 
 def _bench_constant(script: str, name: str):

@@ -72,23 +72,27 @@ def test_run_all_mirrors_registry_order(monkeypatch):
 
 
 def test_suite_report_bookkeeping():
+    # Every check and note is written by SuiteReport.check.
     report = SuiteReport("demo")
-    report.add("fine", [], instances=7)
+    report.check(((k,) for k in range(7)), {"fine": lambda k: None})
     assert report.passed
-    assert report.checks[-1].ok
-    assert "7 instances" in report.checks[-1].detail
+    assert report.checks[-1] == Check("fine", True, "7 instances")
 
-    failures = [f"case {i}" for i in range(MAX_FAILURE_DETAILS + 3)]
-    report.add("broken", failures, instances=10)
+    total = MAX_FAILURE_DETAILS + 3
+    report.check(((k,) for k in range(10)),
+                 {"broken": lambda k: k < total and f"case {k}"})
     assert not report.passed
     bad = report.checks[-1]
     assert not bad.ok
     assert "case 0" in bad.detail
     assert f"case {MAX_FAILURE_DETAILS - 1}" in bad.detail
     assert f"case {MAX_FAILURE_DETAILS}" not in bad.detail
+    assert bad.detail.endswith(f"; ... {total} failures total")
 
-    report.note("heads-up")
-    assert report.notes == ["heads-up"]
+    # A check with no instances verified nothing, so it fails.
+    report.check([], {"empty": lambda: None})
+    assert report.checks[-1] == Check("empty", False, "0 instances")
+    assert report.notes == []
 
     def oracle(k):
         if k > 8:
@@ -100,6 +104,10 @@ def test_suite_report_bookkeeping():
     assert runner.checks == [Check("counted", True, "1 instances")]
     (skip,) = runner.notes
     assert skip.startswith("counted: (9,) skipped") and "budget" in skip
+
+    runner.check([(9,)], {"all skipped": oracle})
+    assert runner.checks[-1] == Check("all skipped", False, "0 instances")
+    assert runner.notes[-1].startswith("all skipped: (9,) skipped")
 
     runner.check([(1,), (5,)], {"named": oracle})
     assert runner.checks[-1] == Check("named", False, "(5,): fails at five")
