@@ -45,9 +45,10 @@ def parse_budget(text: str) -> int:
             # Written maths reads -b^e as -(b^e): the sign is not the base's.
             sign, base = (-1 if text.startswith("-") else 1), abs(base)
             # base >= 2 to a power above the cap's bit length exceeds the
-            # cap; reject it without computing a number that large.
+            # cap; reject it without computing a number that large. A
+            # negative power is a fraction, or 1.0 for base 1: not an int.
             too_big = base >= 2 and exp > MAX_BUDGET.bit_length()
-            value = None if too_big else sign * base**exp
+            value = None if exp < 0 or too_big else sign * base**exp
         elif text.lstrip("+-").isdigit():
             value = int(text)
         else:
@@ -58,7 +59,7 @@ def parse_budget(text: str) -> int:
             # Bounded before int(), so '1e1000000000' is refused at once.
             value = (int(exact) if exact.is_finite() and 1 <= exact <= MAX_BUDGET
                      and exact == exact.to_integral_value() else None)
-    except (ValueError, ArithmeticError):  # 0^-1 divides by zero
+    except (ValueError, ArithmeticError):  # past Decimal's exponent range
         value = None
     if value is None or not 1 <= value <= MAX_BUDGET:
         raise ValueError(

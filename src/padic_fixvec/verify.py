@@ -15,13 +15,17 @@ Four suites, each pure and deterministic:
 - windows: conductor/depth/level criteria for induced representations,
   exhaustively on a small grid, plus the global conductor-bound sweeps.
 
-SuiteReport.check is the only writer of checks and notes (run_windows
-only moves one check): it takes a stream of cases and a test per check
-name, each test returning a failure detail or a false value. Several
-names may share one stream, which is then generated once. Cases
-that exceed the enumeration budget are recorded as notes, not failures. A
-check that runs no instance at all fails, so no suite passes vacuously.
-The acceptance tests in tests/test_acceptance.py read these checks by name.
+Every check is one row (suite, name, cases, test) of the table that
+_checks(budget) builds, in report order. A test takes the arguments of one
+case and returns a failure detail, or a false value when its identity
+holds. A suite's runner gives SuiteReport.check, the only writer of checks
+and notes, each distinct cases object once, so rows that hold the same
+stream share one pass over it; the checks are then reported in table
+order. Building the table runs no case: a stream that needs the package's
+objects is a generator. Cases that exceed the enumeration budget are
+recorded as notes, not failures. A check that runs no instance at all
+fails, so no suite passes vacuously. The acceptance tests in
+tests/test_acceptance.py read these checks by name.
 """
 
 import itertools
@@ -38,7 +42,8 @@ from .budget import BudgetExceededError
 MAX_FAILURE_DETAILS = 5
 
 # (n, p, m) of the enumerated GL_n(Z/p^m) counts, and (partition, p, m) of
-# the enumerated parabolic counts (those with at most 200,000 elements).
+# the enumerated parabolic counts (those with at most 200,000 elements) and
+# of the coset-index oracle.
 GL_COUNT_CASES = [(2, p, m) for p in (2, 3, 5) for m in (1, 2)]
 GL_COUNT_CASES += [(3, 2, 1), (3, 3, 1)]
 PARABOLIC_COUNT_CASES = [
@@ -47,6 +52,20 @@ PARABOLIC_COUNT_CASES = [
     for p in (2, 3) for m in (1, 2)
     if finite_ring.parabolic_order(part, p, m) <= 200_000
 ]
+INDEX_CASES = [((1, 1), p, m) for p in (2, 3, 5) for m in (1, 2)]
+INDEX_CASES += [(part, p, 1) for part in ((2, 1), (1, 2), (1, 1, 1))
+                for p in (2, 3, 5)]
+INDEX_CASES += [(part, 2, 2) for part in ((2, 1), (1, 2), (1, 1, 1))]
+
+# (fine, coarse) partitions of the refinement divisibility check.
+REFINEMENT_PAIRS = [
+    ((1, 1, 1), (2, 1)), ((1, 1, 1), (1, 2)),
+    ((1, 1, 1, 1), (2, 2)), ((1, 1, 1, 1), (2, 1, 1)),
+    ((1, 1, 1, 1), (1, 3)), ((2, 1, 1), (3, 1)), ((2, 1, 1), (2, 2)),
+]
+
+# The (q, s) grid shared by the supercuspidal identity checks.
+GL2_GRID = [(q, s) for q in (2, 3, 4, 5, 7) for s in range(2, 9)]
 
 
 class Check(NamedTuple):
@@ -120,115 +139,23 @@ def _random_matrix_pairs():
             )
 
 
-def run_cosets(budget: int | None = None) -> SuiteReport:
-    """Enumeration-vs-closed-form checks for GL_n(Z/p^m) and its parabolics."""
-    report = SuiteReport("cosets")
-
-    report.check(GL_COUNT_CASES, {
-        "enumerated |GL_n(Z/p^m)| equals gl_order": lambda n, p, m: _differ(
-            sum(1 for _ in finite_ring._enumerate_gl_rows(n, p, m, budget)),
-            finite_ring.gl_order(n, p, m),
-        ),
-    })
-    report.check(PARABOLIC_COUNT_CASES, {
-        "enumerated parabolic size equals parabolic_order":
-            lambda part, p, m: _differ(
-                sum(1 for _ in finite_ring._enumerate_parabolic_rows(
-                    part, p, m, budget
-                )),
-                finite_ring.parabolic_order(part, p, m),
-            ),
-    })
-
-    report.check(
-        itertools.product((1, 2, 3, 4), (2, 3, 4, 5, 7, 9), (1, 2, 3)),
-        {"gl_order(m+1) = gl_order(m) * q^(n^2)": lambda n, q, m: _differ(
-            finite_ring.gl_order(n, q, m + 1),
-            finite_ring.gl_order(n, q, m) * q ** (n * n),
-        )},
-    )
-
-    report.check(_random_matrix_pairs(), {
-        "is_invertible(a @ b) = is_invertible(a) and is_invertible(b)":
-            lambda p, pm, a, b: _differ(
-                finite_ring.det_int(finite_ring.mat_mul(a, b, pm)) % p != 0,
-                finite_ring.det_int(a) % p != 0
-                and finite_ring.det_int(b) % p != 0,
-            ),
-    })
-
-    index_cases = [((1, 1), p, m) for p in (2, 3, 5) for m in (1, 2)]
-    index_cases += [(part, p, 1) for part in ((2, 1), (1, 2), (1, 1, 1))
-                    for p in (2, 3, 5)]
-    index_cases += [(part, 2, 2) for part in ((2, 1), (1, 2), (1, 1, 1))]
-    report.check(index_cases, {
-        "parabolic_index_closed equals parabolic_index_enumerated":
-            lambda part, p, m: _differ(
-                cosets.parabolic_index_closed(part, p, m),
-                cosets.parabolic_index_enumerated(part, p, m, budget=budget),
-            ),
-    })
-
-    report.check(itertools.product((2, 3, 4, 5, 7), range(1, 7)), {
-        "Borel index = q^(r-1) * (q+1)": lambda q, r: _differ(
-            cosets.parabolic_index_closed((1, 1), q, r),
-            q ** (r - 1) * (q + 1),
-        ),
-    })
-
-    refinement_pairs = [
-        ((1, 1, 1), (2, 1)), ((1, 1, 1), (1, 2)),
-        ((1, 1, 1, 1), (2, 2)), ((1, 1, 1, 1), (2, 1, 1)),
-        ((1, 1, 1, 1), (1, 3)), ((2, 1, 1), (3, 1)), ((2, 1, 1), (2, 2)),
-    ]
-    report.check(
-        (pair + (q, m) for pair, q, m in itertools.product(
-            refinement_pairs, (2, 3, 5, 7), (1, 2, 3)
-        )),
-        {"index of a refinement is divisible by index of a coarsening":
-            lambda fine, coarse, q, m: _differ(
-                cosets.parabolic_index_closed(fine, q, m)
-                % cosets.parabolic_index_closed(coarse, q, m),
-                0,
-            )},
-    )
-    return report
-
-
-def run_characters(budget: int | None = None) -> SuiteReport:
-    """Unit-dual enumeration against the conductor class-count formulas."""
-    report = SuiteReport("characters")
-    report.check(itertools.product((2, 3, 5, 7), range(0, 5)), {
-        "enumerated conductor histogram equals class-count formula":
-            lambda p, r: _differ(
-                chars.conductor_histogram(p, r, budget=budget),
-                [chars.num_classes_exact(p, i) for i in range(r + 1)],
-            ),
-    })
-    report.check(itertools.product((2, 3, 5, 7), range(1, 5)), {
-        "unit dual size equals (p-1) * p^(r-1)": lambda p, r: _differ(
-            len(chars.enumerate_unit_dual(p, r, budget=budget)),
-            (p - 1) * p ** (r - 1),
-        ),
-    })
-    report.check(itertools.product(range(2, 10), range(1, 9)), {
-        "class counts: running total equals (q-1) * q^(r-1)":
-            lambda q, r: _differ(
-                sum(chars.num_classes_exact(q, i) for i in range(r + 1)),
-                (q - 1) * q ** (r - 1),
-            ),
-    })
-    return report
-
-
-# The (q, s) grid shared by the supercuspidal identity checks.
-GL2_GRID = [(q, s) for q in (2, 3, 4, 5, 7) for s in range(2, 9)]
-
-
 def _twist_cases():
     """(q, s, c_chi, m): the GL_2 grid by twist conductor and level."""
     for (q, s), c_chi, m in itertools.product(GL2_GRID, range(7), range(9)):
         yield q, s, c_chi, m
+
+
+def _gl2_reps_by_q(*levels):
+    """(q, rep, *level) over the supercuspidals, principal series and
+    Steinberg twists that the monotonicity and vanishing checks test."""
+    reps: list[representations.Representation] = [
+        gl2_dims.Supercuspidal(s, c_chi)
+        for s in range(2, 9) for c_chi in range(0, 7)
+    ]
+    reps += [_principal_series(c1, c2)
+             for c1 in range(0, 7) for c2 in range(0, 7)]
+    reps += [gl2_dims.SteinbergTwist(c) for c in range(0, 7)]
+    yield from itertools.product((2, 3, 4, 5, 7), reps, *levels)
 
 
 def _minimal_level_dim(q: int, s: int) -> str | None:
@@ -254,94 +181,31 @@ def _vanishes_below_conductor(q: int, s: int, c_chi: int, m: int) -> str | None:
     return _differ(rep.dim(q, m) > 0, rep.conductor() <= 2 * m)
 
 
-def run_supercuspidal(budget: int | None = None) -> SuiteReport:
-    """Agreement of the three GL_2 dimension computations and their
-    consequences (minimal-level values, twisting, monotonicity, vanishing)."""
-    report = SuiteReport("supercuspidal")
-    report.check(
-        ((q, s, m) for q, s in GL2_GRID for m in range(-(-s // 2), 9)),
-        {"closed form = lattice sum = Kirillov basis count":
-            lambda q, s, m: _differ(
-                gl2_dims.dim_supercuspidal_minimal(q, s, m),
-                gl2_dims.dim_supercuspidal_lattice(q, s, m),
-                gl2_dims.kirillov_basis_count(q, s, 0, m),
-            )},
-    )
+def _blocks(max_n: int, max_c: int) -> dict:
+    """SquareIntegrableBlock(n, c) by (n, c), for n <= max_n and c <= max_c.
+    The windows grids test the implausible blocks of size >= 2 and
+    conductor 0 on purpose, so their warning is not shown."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(
+            "ignore", representations.ImplausibleConductorWarning
+        )
+        return {
+            (n, c): representations.SquareIntegrableBlock(n, c)
+            for n in range(1, max_n + 1) for c in range(0, max_c + 1)
+        }
 
-    report.check(
-        ((q, s, c_psi, m)
-         for q, s in itertools.product((2, 3), range(2, 6))
-         for c_psi, m in itertools.product((0, 1), range(-(-s // 2), 5))),
-        # The support intervals shift with c_psi; their lengths do not. The
-        # name stays as it is, because EXPECTED_INSTANCES keys checks by name.
-        {"materialized Kirillov basis matches its interval count":
-            lambda q, s, c_psi, m: _differ(
-                gl2_dims.kirillov_basis_count(q, s, c_psi, m),
-                gl2_dims.dim_supercuspidal_lattice(q, s, m),
-            )},
-    )
-    report.check(GL2_GRID, {
-        "dimension at the minimal level": _minimal_level_dim,
-    })
-    report.check(_twist_cases(), {
-        "twisting is invisible once the level passes the twisted conductor":
-            lambda q, s, c_chi, m: _differ(
-                gl2_dims.Supercuspidal(s, c_chi).dim(q, m),
-                # False at m = 0, which the lattice sum rejects.
-                gl2_dims.dim_supercuspidal_lattice(q, s, m)
-                if gl2_dims.twisted_conductor_minimal(s, c_chi) <= 2 * m
-                else 0,
-            ),
-    })
-    report.check(
-        itertools.product(range(2, 8), range(0, 7), range(1, 7)),
-        {"principal series minus Steinberg twist is the trivial-quotient line":
-            lambda q, c, r: _differ(
-                _principal_series(c, c).dim(q, r),
-                (c <= r) + gl2_dims.SteinbergTwist(c).dim(q, r),
-            )},
-    )
 
-    reps: list[representations.Representation] = [
-        gl2_dims.Supercuspidal(s, c_chi)
-        for s in range(2, 9) for c_chi in range(0, 7)
-    ]
-    reps += [_principal_series(c1, c2)
-             for c1 in range(0, 7) for c2 in range(0, 7)]
-    reps += [gl2_dims.SteinbergTwist(c) for c in range(0, 7)]
-    qs = (2, 3, 4, 5, 7)
-    report.check(itertools.product(qs, reps), {
-        "dimension is nondecreasing in the level": _nondecreasing,
-    })
-    report.check(itertools.product(qs, reps, range(0, 9)), {
-        "positive dimension exactly when the level is >= min_level":
-            lambda q, rep, m: _differ(
-                rep.dim(q, m) > 0, m >= rep.min_level()
-            ),
-    })
-    report.check(_twist_cases(), {
-        "positive dimension exactly when conductor <= 2 * level":
-            _vanishes_below_conductor,
-    })
-    report.check(
-        [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)],
-        {"unramified principal series dimension equals the coset count":
-            lambda p, r: _differ(
-                cosets.parabolic_index_enumerated((1, 1), p, r, budget=budget),
-                _principal_series(0, 0).dim(p, r),
-            )},
-    )
-    return report
+def _single_block_reps():
+    """Each block of the windows grid as a representation of its own."""
+    for block in _blocks(4, 8).values():
+        yield representations.GenericRepresentation((block,))
 
 
 def _all_induced_reps(max_n: int, max_c: int):
     """Every ordered block decomposition with sizes summing to <= max_n and
     block conductors in [0, max_c]. The reps share their (immutable)
     blocks, which makes the stream about twice as cheap to generate."""
-    blocks = {
-        (n, c): representations.SquareIntegrableBlock(n, c)
-        for n in range(1, max_n + 1) for c in range(0, max_c + 1)
-    }
+    blocks = _blocks(max_n, max_c)
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             for sizes in itertools.product(range(1, n + 1), repeat=k):
@@ -417,67 +281,196 @@ def _bounds_hold(n: int, level, literal, exponents: dict) -> str | None:
             return f"prime powers {powers}: {product}"
 
 
-def run_windows(budget: int | None = None) -> SuiteReport:
-    """Conductor/depth/level criteria for induced representations and the
-    global conductor-bound consistency sweeps."""
-    report = SuiteReport("windows")
-    report.check(
-        itertools.product(range(1, 6), range(0, 21), range(1, 7)),
-        {"conductor criterion agrees with depth criterion":
-            lambda n, c, m: _differ(
-                representations.has_fixed_vector_esi(n, c, m),
-                representations.has_fixed_vector_depth(
-                    representations.depth_esi(n, c), m
-                ),
-            )},
-    )
-    report.check(((c,) for c in range(2, 21)), {
-        "GL_2 supercuspidal depth matches the general formula":
-            lambda c: _differ(
-                gl2_dims.Supercuspidal(c).depth(), Fraction(c - 2, 2)
-            ),
-    })
+class _LocalExponents(dict):
+    """(n, e) -> the ascending low, middle and high exponents of the local
+    conductor window, computed when first read."""
 
-    # Both grid checks share one pass over the grid; the single-block window
-    # check takes its own 36 (n, c) cases and is reported between them.
-    with warnings.catch_warnings():
-        warnings.simplefilter(
-            "ignore", representations.ImplausibleConductorWarning
-        )
-        report.check(_with_min_level(_all_induced_reps(4, 8)), {
-            "min_level is the least level with a fixed vector": _least_level,
-            "conductors lie in the generic window [m, mn]": _in_window,
-        })
-        generic = report.checks.pop()
-        report.check(_with_min_level(
-            representations.GenericRepresentation.from_pairs([(n, c)])
-            for n in range(1, 5) for c in range(0, 9)
-        ), {
-            "single-block conductors lie in the square-integrable window":
-                lambda rep, least: _in_window(rep, least, True),
-        })
-        report.checks.append(generic)
-
-    # Each local window's ascending low, middle and high exponents, once.
-    exponents = {}
-    for n, e in itertools.product(range(1, 5), range(1, 14)):
-        window = global_bounds.local_conductor_window(n, e)
-        exponents[n, e] = sorted(
+    def __missing__(self, key):
+        window = global_bounds.local_conductor_window(*key)
+        self[key] = sorted(
             {window.lo, (window.lo + window.hi) // 2, window.hi}
         )
-    report.check(_global_bounds_cases(), {
-        "local windows compose to products inside the global bounds":
-            lambda *case: _bounds_hold(*case, exponents),
-    })
-    return report
+        return self[key]
 
 
-SUITES = {
-    "cosets": run_cosets,
-    "characters": run_characters,
-    "supercuspidal": run_supercuspidal,
-    "windows": run_windows,
-}
+def _checks(budget: int | None) -> list[tuple]:
+    """Every check as a row (suite, name, cases, test), in report order. The
+    tests that run an enumeration oracle pass it budget."""
+    induced = _with_min_level(_all_induced_reps(4, 8))
+    exponents = _LocalExponents()
+    return [
+        ("cosets", "enumerated |GL_n(Z/p^m)| equals gl_order", GL_COUNT_CASES,
+         lambda n, p, m: _differ(
+             sum(1 for _ in finite_ring._enumerate_gl_rows(n, p, m, budget)),
+             finite_ring.gl_order(n, p, m),
+         )),
+        ("cosets", "enumerated parabolic size equals parabolic_order",
+         PARABOLIC_COUNT_CASES,
+         lambda part, p, m: _differ(
+             sum(1 for _ in finite_ring._enumerate_parabolic_rows(
+                 part, p, m, budget
+             )),
+             finite_ring.parabolic_order(part, p, m),
+         )),
+        ("cosets", "gl_order(m+1) = gl_order(m) * q^(n^2)",
+         itertools.product((1, 2, 3, 4), (2, 3, 4, 5, 7, 9), (1, 2, 3)),
+         lambda n, q, m: _differ(
+             finite_ring.gl_order(n, q, m + 1),
+             finite_ring.gl_order(n, q, m) * q ** (n * n),
+         )),
+        ("cosets",
+         "is_invertible(a @ b) = is_invertible(a) and is_invertible(b)",
+         _random_matrix_pairs(),
+         lambda p, pm, a, b: _differ(
+             finite_ring.det_int(finite_ring.mat_mul(a, b, pm)) % p != 0,
+             finite_ring.det_int(a) % p != 0
+             and finite_ring.det_int(b) % p != 0,
+         )),
+        ("cosets", "parabolic_index_closed equals parabolic_index_enumerated",
+         INDEX_CASES,
+         lambda part, p, m: _differ(
+             cosets.parabolic_index_closed(part, p, m),
+             cosets.parabolic_index_enumerated(part, p, m, budget=budget),
+         )),
+        ("cosets", "Borel index = q^(r-1) * (q+1)",
+         itertools.product((2, 3, 4, 5, 7), range(1, 7)),
+         lambda q, r: _differ(
+             cosets.parabolic_index_closed((1, 1), q, r),
+             q ** (r - 1) * (q + 1),
+         )),
+        ("cosets",
+         "index of a refinement is divisible by index of a coarsening",
+         (pair + (q, m) for pair, q, m in itertools.product(
+             REFINEMENT_PAIRS, (2, 3, 5, 7), (1, 2, 3)
+         )),
+         lambda fine, coarse, q, m: _differ(
+             cosets.parabolic_index_closed(fine, q, m)
+             % cosets.parabolic_index_closed(coarse, q, m),
+             0,
+         )),
+        ("characters",
+         "enumerated conductor histogram equals class-count formula",
+         itertools.product((2, 3, 5, 7), range(0, 5)),
+         lambda p, r: _differ(
+             chars.conductor_histogram(p, r, budget=budget),
+             [chars.num_classes_exact(p, i) for i in range(r + 1)],
+         )),
+        ("characters", "unit dual size equals (p-1) * p^(r-1)",
+         itertools.product((2, 3, 5, 7), range(1, 5)),
+         lambda p, r: _differ(
+             len(chars.enumerate_unit_dual(p, r, budget=budget)),
+             (p - 1) * p ** (r - 1),
+         )),
+        ("characters", "class counts: running total equals (q-1) * q^(r-1)",
+         itertools.product(range(2, 10), range(1, 9)),
+         lambda q, r: _differ(
+             sum(chars.num_classes_exact(q, i) for i in range(r + 1)),
+             (q - 1) * q ** (r - 1),
+         )),
+        ("supercuspidal", "closed form = lattice sum = Kirillov basis count",
+         ((q, s, m) for q, s in GL2_GRID for m in range(-(-s // 2), 9)),
+         lambda q, s, m: _differ(
+             gl2_dims.dim_supercuspidal_minimal(q, s, m),
+             gl2_dims.dim_supercuspidal_lattice(q, s, m),
+             gl2_dims.kirillov_basis_count(q, s, 0, m),
+         )),
+        # The support intervals shift with c_psi; their lengths do not. The
+        # name stays as it is, because EXPECTED_INSTANCES keys checks by name.
+        ("supercuspidal",
+         "materialized Kirillov basis matches its interval count",
+         ((q, s, c_psi, m)
+          for q, s in itertools.product((2, 3), range(2, 6))
+          for c_psi, m in itertools.product((0, 1), range(-(-s // 2), 5))),
+         lambda q, s, c_psi, m: _differ(
+             gl2_dims.kirillov_basis_count(q, s, c_psi, m),
+             gl2_dims.dim_supercuspidal_lattice(q, s, m),
+         )),
+        ("supercuspidal", "dimension at the minimal level", GL2_GRID,
+         _minimal_level_dim),
+        ("supercuspidal",
+         "twisting is invisible once the level passes the twisted conductor",
+         _twist_cases(),
+         lambda q, s, c_chi, m: _differ(
+             gl2_dims.Supercuspidal(s, c_chi).dim(q, m),
+             # False at m = 0, which the lattice sum rejects.
+             gl2_dims.dim_supercuspidal_lattice(q, s, m)
+             if gl2_dims.twisted_conductor_minimal(s, c_chi) <= 2 * m
+             else 0,
+         )),
+        ("supercuspidal",
+         "principal series minus Steinberg twist is the trivial-quotient line",
+         itertools.product(range(2, 8), range(0, 7), range(1, 7)),
+         lambda q, c, r: _differ(
+             _principal_series(c, c).dim(q, r),
+             (c <= r) + gl2_dims.SteinbergTwist(c).dim(q, r),
+         )),
+        ("supercuspidal", "dimension is nondecreasing in the level",
+         _gl2_reps_by_q(), _nondecreasing),
+        ("supercuspidal",
+         "positive dimension exactly when the level is >= min_level",
+         _gl2_reps_by_q(range(0, 9)),
+         lambda q, rep, m: _differ(rep.dim(q, m) > 0, m >= rep.min_level())),
+        ("supercuspidal",
+         "positive dimension exactly when conductor <= 2 * level",
+         _twist_cases(), _vanishes_below_conductor),
+        ("supercuspidal",
+         "unramified principal series dimension equals the coset count",
+         [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)],
+         lambda p, r: _differ(
+             cosets.parabolic_index_enumerated((1, 1), p, r, budget=budget),
+             _principal_series(0, 0).dim(p, r),
+         )),
+        ("windows", "conductor criterion agrees with depth criterion",
+         itertools.product(range(1, 6), range(0, 21), range(1, 7)),
+         lambda n, c, m: _differ(
+             representations.has_fixed_vector_esi(n, c, m),
+             representations.has_fixed_vector_depth(
+                 representations.depth_esi(n, c), m
+             ),
+         )),
+        ("windows", "GL_2 supercuspidal depth matches the general formula",
+         ((c,) for c in range(2, 21)),
+         lambda c: _differ(
+             gl2_dims.Supercuspidal(c).depth(), Fraction(c - 2, 2)
+         )),
+        # The two grid checks hold the same stream, so they share one pass.
+        ("windows", "min_level is the least level with a fixed vector",
+         induced, _least_level),
+        ("windows",
+         "single-block conductors lie in the square-integrable window",
+         _with_min_level(_single_block_reps()),
+         lambda rep, least: _in_window(rep, least, True)),
+        ("windows", "conductors lie in the generic window [m, mn]",
+         induced, _in_window),
+        ("windows",
+         "local windows compose to products inside the global bounds",
+         _global_bounds_cases(),
+         lambda *case: _bounds_hold(*case, exponents)),
+    ]
+
+
+def _runner(suite: str) -> Callable[..., SuiteReport]:
+    """The SUITES entry of one suite: it runs the suite's rows of the table,
+    one SuiteReport.check per distinct cases object, and reports the checks
+    in table order."""
+
+    def run(budget: int | None = None) -> SuiteReport:
+        rows = [row[1:] for row in _checks(budget) if row[0] == suite]
+        passes: dict[int, tuple] = {}  # id(cases) -> (cases, {name: test})
+        for name, cases, test in rows:
+            passes.setdefault(id(cases), (cases, {}))[1][name] = test
+        report = SuiteReport(suite)
+        for cases, tests in passes.values():
+            report.check(cases, tests)
+        names = [name for name, _, _ in rows]
+        report.checks.sort(key=lambda check: names.index(check.name))
+        return report
+
+    return run
+
+
+SUITES = {suite: _runner(suite)
+          for suite in dict.fromkeys(row[0] for row in _checks(None))}
 
 
 def run_all(budget: int | None = None) -> list[SuiteReport]:

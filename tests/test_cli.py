@@ -554,10 +554,11 @@ def test_verify_json_under_budget(capsys):
 
 def test_verify_rejects_bad_budget(capsys):
     # A zero, negative or fractional budget would skip every oracle.
-    # "-10^2" is -(10^2), as written maths reads it, not (-10)^2. "0^-1"
-    # divides by zero, and an empty budget is given, not absent.
+    # "-10^2" is -(10^2), as written maths reads it, not (-10)^2. A negative
+    # power is refused even where it is whole ("1^-1" is 1.0) or undefined
+    # ("0^-1"), and an empty budget is given, not absent.
     for budget in ("lots", "0", "-5", "10^-1", "10^100000000", "-10^2", "-2^2",
-                   "0^-1", ""):
+                   "0^-1", "1^-1", "1^-5", ""):
         err = run_err(capsys, ["verify", "--suite", "characters",
                                f"--budget={budget}"])
         assert "budget must be an integer from 1 to 10^18" in err

@@ -12,9 +12,6 @@ from padic_fixvec.verify import (
     Check,
     SuiteReport,
     run_all,
-    run_characters,
-    run_cosets,
-    run_windows,
 )
 
 
@@ -24,7 +21,7 @@ def test_suite_registry():
 
 
 def test_characters_suite_passes():
-    report = run_characters()
+    report = SUITES["characters"]()
     assert report.suite == "characters"
     assert report.passed
     assert report.checks
@@ -34,7 +31,7 @@ def test_characters_suite_passes():
 def test_cosets_suite_passes_under_tiny_budget_with_notes():
     # A tiny budget forces the enumeration oracles to skip instances; the
     # suite must still pass on what remains and record each skip as a note.
-    report = run_cosets(budget=1000)
+    report = SUITES["cosets"](budget=1000)
     assert report.passed
     assert report.notes
     assert all("budget" in note for note in report.notes)
@@ -136,7 +133,7 @@ GLOBAL_BOUNDS_CHECK = "local windows compose to products inside the global bound
 def _global_bounds_detail(monkeypatch, case) -> str:
     """The windows suite's global-bounds check run on the one case."""
     monkeypatch.setattr(verify, "_global_bounds_cases", lambda: iter([case]))
-    checks = {c.name: c for c in run_windows().checks}
+    checks = {c.name: c for c in SUITES["windows"]().checks}
     assert checks[GLOBAL_BOUNDS_CHECK].ok is False
     return checks[GLOBAL_BOUNDS_CHECK].detail
 
@@ -270,17 +267,46 @@ EXPECTED_INSTANCES = {
 
 
 def test_run_all_instance_counts_at_default_budget(default_report):
+    # Lists, not dicts: EXPECTED_INSTANCES is in report order, and so must
+    # each suite's checks be.
     reports = [default_report(suite)[0] for suite in SUITES]
     assert all(r.passed and r.notes == [] for r in reports)
     counts = {
-        r.suite: {c.name: c.detail for c in r.checks} for r in reports
+        r.suite: [(c.name, c.detail) for c in r.checks] for r in reports
     }
     assert counts == {
-        suite: {name: f"{n} instances" for name, n in checks.items()}
+        suite: [(name, f"{n} instances") for name, n in checks.items()]
         for suite, checks in EXPECTED_INSTANCES.items()
     }
     total = sum(sum(checks.values()) for checks in EXPECTED_INSTANCES.values())
     assert total == 71_832
+
+
+def test_check_names_are_unique(default_report):
+    # The acceptance tests and EXPECTED_INSTANCES key checks by name alone.
+    names = [c.name for suite in SUITES for c in default_report(suite)[0].checks]
+    assert len(names) == len(set(names))
+
+
+def test_windows_grid_checks_share_one_pass(monkeypatch):
+    # Both grid checks hold one stream of induced reps, which a windows run
+    # walks once, not once per check.
+    yielded = 0
+    induced_reps = verify._all_induced_reps
+
+    def counted(*args):
+        nonlocal yielded
+        for rep in induced_reps(*args):
+            yielded += 1
+            yield rep
+
+    monkeypatch.setattr(verify, "_all_induced_reps", counted)
+    checks = {c.name: c.detail for c in SUITES["windows"]().checks}
+    assert yielded == 9999
+    assert checks["min_level is the least level with a fixed vector"] == (
+        "9999 instances")
+    assert checks["conductors lie in the generic window [m, mn]"] == (
+        "9999 instances")
 
 
 VERIFY_BUDGET_1000 = (
