@@ -1,18 +1,20 @@
 """Quasi-characters of a p-adic multiplicative group, up to unramified twist.
 
-None of the implemented formulas needs character values, only the number
-of twist classes of each conductor. Those counts have closed forms; the
-oracle enumerates the full dual of (Z/p^r)^x additively (exponent vectors
-against fixed generators, no complex arithmetic) and recomputes each
-conductor from discrete logs.
+The dimension formulas use only the number of twist classes of each
+conductor, num_classes_exact, a closed form. Its oracle, enumerate_unit_dual,
+enumerates the full dual of (Z/p^r)^x additively: a character is an exponent
+vector against generators that _dlog_table finds by search, and its value on
+a unit is read from the unit's discrete log, with no complex arithmetic. Each
+conductor is then computed from its definition, as the least j for which
+the character is trivial on every unit congruent to 1 mod p^j.
 """
 
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .budget import DEFAULT_UNIT_DUAL_BUDGET, require
 from .finite_ring import is_prime
-from .global_bounds import factorize
 
 
 def num_classes_exact(q: int, i: int) -> int:
@@ -29,53 +31,32 @@ def num_classes_exact(q: int, i: int) -> int:
     return (q - 1) ** 2 * q ** (i - 2)
 
 
-def _primitive_root(p: int, r: int) -> int:
-    """A generator of the cyclic group (Z/p^r)^x, p odd."""
-    phi_p = p - 1
-    prime_divs = [ell for ell, _ in factorize(phi_p)]
-    g = 2
-    while any(pow(g, phi_p // ell, p) == 1 for ell in prime_divs):
-        g += 1
-    # lift to a generator mod p^r
-    if r >= 2 and pow(g, phi_p, p * p) == 1:
-        g += p
-    return g
-
-
-def _unit_group_generators(p: int, r: int) -> list[tuple[int, int]]:
-    """(generator, order) pairs for (Z/p^r)^x."""
-    if r == 0:
-        return []
-    if p == 2:
-        if r == 1:
-            return []
-        if r == 2:
-            return [(3, 2)]
-        return [(2**r - 1, 2), (5, 2 ** (r - 2))]
-    return [(_primitive_root(p, r), (p - 1) * p ** (r - 1))]
-
-
-def _dlog_table(p: int, r: int, gens: list[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
-    """Exponent vector of every unit of Z/p^r against the fixed generators."""
+def _dlog_table(p: int, r: int) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Generator orders, and the exponent vector of every unit of Z/p^r
+    against the generators. For p odd the generator is the least g whose
+    powers give every unit; for p = 2 the generators are -1 and 5 (3 at
+    r = 2). A generator set is accepted only when its table holds all
+    (p-1) * p**(r-1) units; RuntimeError if none is."""
     pm = p**r
-    if not gens:
-        return {1 % pm: ()}
-    table: dict[int, tuple[int, ...]] = {}
-    for exps in product(*(range(order) for _, order in gens)):
-        u = 1
-        for (g, _), e in zip(gens, exps):
-            u = u * pow(g, e, pm) % pm
-        table[u] = exps
-    return table
-
-
-def _level_subgroup_generators(p: int, r: int, j: int, gens) -> list[int]:
-    """Generators of the units congruent to 1 mod p^j, inside (Z/p^r)^x."""
-    if j == 0 or (p == 2 and j == 1):
-        return [g for g, _ in gens]  # 1+2Z hits every odd residue
-    if j >= r:
-        return []
-    return [1 + p**j]
+    units = (p - 1) * p ** (r - 1) if r else 1
+    if p == 2:
+        trials = [[-1, 5] if r >= 3 else [3] if r == 2 else []]
+    else:
+        trials = ([g] for g in range(2, pm) if g % p) if r else [[]]
+    for gens in trials:
+        powers = [[1] for _ in gens]
+        for g, row in zip(gens, powers):
+            while (u := row[-1] * g % pm) != 1:
+                row.append(u)
+        table: dict[int, tuple[int, ...]] = {}
+        for exps in product(*(range(len(row)) for row in powers)):
+            u = 1 % pm
+            for row, e in zip(powers, exps):
+                u = u * row[e] % pm
+            table[u] = exps
+        if len(table) == units:
+            return [len(row) for row in powers], table
+    raise RuntimeError(f"no generators found for (Z/{p}^{r})^x")
 
 
 def enumerate_unit_dual(
@@ -83,13 +64,15 @@ def enumerate_unit_dual(
 ) -> list[tuple[int, int]]:
     """All characters of (Z/p^r)^x with their conductors.
 
-    Each character is an exponent vector against the fixed generating set,
-    encoded into a single integer id (mixed radix, most significant
-    generator first). Its conductor is the least j <= r such that it is
-    trivial on the units congruent to 1 mod p^j (j=0: trivial on all units).
+    Each character is an exponent vector against the generators of
+    _dlog_table, encoded into a single integer id (mixed radix, most
+    significant generator first). Its conductor is the least j <= r such
+    that it is trivial on the units congruent to 1 mod p^j (j=0: trivial on
+    all units). The units other than 1 fall into shells j < r, u = 1 mod p^j
+    but not mod p^(j+1); walking the shells down from r - 1, the first unit
+    off the kernel lies in shell c - 1, and a character with none has c = 0.
 
-    The multiset of conductors reproduces num_classes_exact(p, i) for each
-    i <= r. Gated by p**r <= budget (default 10**6).
+    Gated by p**r <= budget (default 10**6).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -97,31 +80,20 @@ def enumerate_unit_dual(
         raise ValueError(f"level must be >= 0, got {r}")
     require(p**r, budget, DEFAULT_UNIT_DUAL_BUDGET, f"dual of (Z/{p}^{r})^x")
 
-    gens = _unit_group_generators(p, r)
-    orders = [order for _, order in gens]
-    dlog = _dlog_table(p, r, gens)
-    exponent = lcm(*orders) if orders else 1
+    orders, dlog = _dlog_table(p, r)
+    exponent = lcm(*orders)
     weights = [exponent // order for order in orders]
-    level_dlogs = [
-        [dlog[g % p**r] for g in _level_subgroup_generators(p, r, j, gens)]
-        for j in range(r + 1)
-    ]
+    shells: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
+    for u, exps in dlog.items():
+        if u != 1 % p**r:
+            shells[max(j for j in range(r) if (u - 1) % p**j == 0)].append(exps)
 
-    out: list[tuple[int, int]] = []
-    char_id = 0
-    for coeffs in product(*(range(order) for order in orders)):
-        cond = r
-        for j in range(r + 1):
-            killed = all(
-                sum(a * e * w for a, e, w in zip(coeffs, vec, weights)) % exponent == 0
-                for vec in level_dlogs[j]
-            )
-            if killed:
-                cond = j
-                break
-        out.append((char_id, cond))
-        char_id += 1
-    return out
+    def conductor(coeffs: tuple[int, ...]) -> int:
+        scaled = list(map(mul, coeffs, weights))
+        return next((j + 1 for j in reversed(range(r)) if any(
+            sum(map(mul, scaled, exps)) % exponent for exps in shells[j])), 0)
+
+    return list(enumerate(map(conductor, product(*map(range, orders)))))
 
 
 def conductor_histogram(p: int, r: int, budget: int | None = None) -> list[int]:

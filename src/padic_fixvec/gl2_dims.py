@@ -7,14 +7,14 @@ min_level(), depth(), dim(q, m) and dim_exponent(m), and raises ValueError
 where it has no answer.
 
 The twisted Steinberg dimension is a single closed form in its dim method.
-Minimal supercuspidal dimensions are computed three ways that must agree,
-but not independently: the twist-class lattice sum and the count of
-Kirillov functions grouped by kirillov_groups are one sum, twist class
-conductor i adding num_classes_exact(q, i) * (2r - c_i + 1), and the
-minimal-conductor closed form is that sum summed, in O(1) big-int
-operations. Non-minimal supercuspidals reduce to the minimal member of
-their twist orbit, whose conductor meets a twisting character in
-c = max(s, 2*c_chi).
+Minimal supercuspidal dimensions are computed two ways that must agree.
+One is a sum over twist classes, the count of Kirillov functions grouped
+by kirillov_groups: twist class conductor i adds num_classes_exact(q, i) *
+(2r - c_i + 1). The twist-class lattice sum is that count at c_psi = 0.
+The other, the minimal-conductor closed form, is the same sum summed, in
+O(1) big-int operations, so the two are not independent. Non-minimal
+supercuspidals reduce to the minimal member of their twist orbit, whose
+conductor meets a twisting character in c = max(s, 2*c_chi).
 """
 
 from typing import TYPE_CHECKING, Iterator
@@ -54,6 +54,8 @@ class SteinbergTwist(Value):
     def dim(self, q: int, m: int) -> int:
         """At level m >= 1, q**m + q**(m-1) - 1 when the twist conductor is
         <= m, else 0; 0 at level 0."""
+        if q < 2:
+            raise ValueError(f"q must be >= 2, got {q}")
         if m < 0:
             raise ValueError(f"level must be >= 0, got {m}")
         if m == 0 or self.c_chi > m:
@@ -91,6 +93,8 @@ class Supercuspidal(Value):
     def dim(self, q: int, m: int) -> int:
         """0 while the conductor max(s, 2*c_chi) exceeds 2m; from there on
         the twist is invisible and the dimension is the minimal one."""
+        if q < 2:
+            raise ValueError(f"q must be >= 2, got {q}")
         if m < 0:
             raise ValueError(f"level must be >= 0, got {m}")
         if self.conductor() > 2 * m:
@@ -120,6 +124,8 @@ def dim_supercuspidal_minimal(q: int, s: int, m: int) -> int:
     and 0 whenever s > 2m. With k = m - r, the sum is q**(r-1) * (q-1)**2
     * sum_{j<k} (2k - 1 - 2j) q**j, summed here in closed form.
     """
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
     if s < 2:
         raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
     if m < 0:
@@ -133,33 +139,18 @@ def dim_supercuspidal_minimal(q: int, s: int, m: int) -> int:
 
 
 def dim_supercuspidal_lattice(q: int, s: int, r: int) -> int:
-    """Fixed-space dimension of a minimal supercuspidal at level r, summed
-    over unramified-twist classes:
+    """Fixed-space dimension of a minimal supercuspidal at level r >= 1,
+    summed over unramified-twist classes:
 
         sum_{i=0}^{r} |classes of conductor i| * (2r - c(twist by class) + 1)
 
-    with the twisted conductor given by twisted_conductor_minimal. Returns 0
-    when s > 2r. For s <= 2r every summand carrying a positive class count
-    is >= 1; a nonpositive one would indicate an internal error.
+    with the twisted conductor given by twisted_conductor_minimal. That is
+    the Kirillov basis count at c_psi = 0, so it is computed as one. Every
+    term is >= 1 when s <= 2r, and the sum is 0 when s > 2r.
     """
     if r < 1:
         raise ValueError(f"level must be >= 1, got {r}")
-    if s < 2:
-        raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
-    if s > 2 * r:
-        return 0
-    total = 0
-    for i in range(r + 1):
-        count = num_classes_exact(q, i)
-        term = 2 * r - twisted_conductor_minimal(s, i) + 1
-        if count > 0 and term <= 0:
-            raise RuntimeError(
-                f"internal check failed: nonpositive multiplicity term {term} "
-                f"at twist conductor {i} for q={q}, s={s}, r={r}"
-            )
-        if count > 0:
-            total += count * term
-    return total
+    return kirillov_basis_count(q, s, 0, r)
 
 
 def kirillov_groups(
@@ -189,8 +180,8 @@ def kirillov_basis_count(q: int, s: int, c_psi: int, r: int) -> int:
     """Number of level-r fixed Kirillov functions: classes of a common
     conductor share their support interval, so each kirillov_groups group
     contributes class count times interval length. The interval shifts
-    with c_psi but keeps its length, so the count does not depend on c_psi
-    and equals dim_supercuspidal_lattice(q, s, r) at every level r >= 1."""
+    with c_psi but keeps its length, so the count does not depend on c_psi;
+    at c_psi = 0 it is dim_supercuspidal_lattice(q, s, r)."""
     return sum(
         classes * (hi - lo + 1)
         for _, classes, lo, hi in kirillov_groups(q, s, c_psi, r)

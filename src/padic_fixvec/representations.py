@@ -149,6 +149,8 @@ class GenericRepresentation(Value):
                     " determine; use principal-series, steinberg-twist or"
                     " supercuspidal for the GL_2 fine types"
                 )
+        if q < 2:
+            raise ValueError(f"q must be >= 2, got {q}")
         if m < 0:
             raise ValueError(f"level must be >= 0, got {m}")
         if m < self.min_level():

@@ -8,10 +8,11 @@ Four suites, each pure and deterministic:
   under partition refinement.
 - characters: unit-dual conductor histograms against the discrete-log
   oracle and the class-count closed forms.
-- supercuspidal: the three GL_2 dimension computations (one sum), the
-  minimal-level values, twist invariance, the principal-series/Steinberg
-  exact-sequence identity, monotonicity, and vanishing thresholds. A
-  principal series is the induced representation of its two characters.
+- supercuspidal: the GL_2 closed form against the twist-class sum (the
+  lattice sum is the Kirillov count at c_psi = 0), the minimal-level
+  values, twist invariance, the principal-series/Steinberg exact-sequence
+  identity, monotonicity, and vanishing thresholds. A principal series is
+  the induced representation of its two characters.
 - windows: conductor/depth/level criteria for induced representations,
   exhaustively on a small grid, plus the global conductor-bound sweeps.
 

@@ -228,3 +228,32 @@ def test_level_monotonicity_spot():
     for rep in reps:
         dims = [rep.dim(3, m) for m in range(0, 8)]
         assert dims == sorted(dims)
+
+
+@pytest.mark.parametrize("q", [1, 0, -3])
+@pytest.mark.parametrize("rep", [
+    principal_series(2, 1),
+    GenericRepresentation.from_pairs([(1, 1)]),
+    SteinbergTwist(2),
+    Supercuspidal(3, 2),
+], ids=["principal-series", "gl1", "steinberg-twist", "supercuspidal"])
+def test_dim_refuses_q_below_2(q, rep):
+    # Below the least level each type used to answer 0, and above it a
+    # negative or meaningless dimension.
+    for m in (rep.min_level() - 1, rep.min_level() + 1):
+        with pytest.raises(ValueError, match=f"q must be >= 2, got {q}"):
+            rep.dim(q, m)
+
+
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_supercuspidal_sums_refuse_q_below_2(q):
+    for m in (1, 3):  # below and above the least level 2 of conductor 4
+        with pytest.raises(ValueError, match=f"q must be >= 2, got {q}"):
+            dim_supercuspidal_minimal(q, 4, m)
+        with pytest.raises(ValueError, match=f"q must be >= 2, got {q}"):
+            dim_supercuspidal_lattice(q, 4, m)
+
+
+def test_block_size_refusal_precedes_the_q_check():
+    with pytest.raises(ValueError, match="rep.blocks"):
+        GenericRepresentation.from_pairs([(2, 2)]).dim(0, 2)

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -107,3 +108,67 @@ def test_bench_names_resolve():
         if not hasattr(importlib.import_module(f"padic_fixvec.{module}"), attr):
             missing.add(name)
     assert missing == KNOWN_MISSING_BENCH_NAMES
+
+
+# Each oracle, and the closed forms it must never reach, by module.function.
+ORACLE_FORBIDDEN = {
+    "characters.enumerate_unit_dual": {"characters.num_classes_exact"},
+    "cosets.parabolic_index_enumerated": {
+        "cosets.parabolic_index_closed", "finite_ring.gl_order",
+        "finite_ring.parabolic_order"},
+    "finite_ring._enumerate_gl_rows": {"finite_ring.gl_order"},
+    "finite_ring._enumerate_parabolic_rows": {
+        "finite_ring.parabolic_order", "finite_ring.gl_order"},
+}
+
+
+def _code_names(code: types.CodeType) -> set[str]:
+    """The names a code object loads, with those of the code nested in its
+    constants: comprehensions, generator expressions and lambdas live
+    there before Python 3.12, which inlines comprehensions."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def _qualified(function) -> str:
+    return f"{function.__module__.rpartition('.')[2]}.{function.__name__}"
+
+
+def _reachable(function) -> set[str]:
+    """Every package function that function can reach by name: a name it
+    loads resolves in its module's globals, or as an attribute of a
+    package module or class found there, and is followed in turn."""
+    seen, todo = set(), [function]
+    while todo:
+        function = todo.pop()
+        if _qualified(function) in seen:
+            continue
+        seen.add(_qualified(function))
+        names = _code_names(function.__code__)
+        scopes = [function.__globals__]
+        for name in names:
+            value = function.__globals__.get(name)
+            if isinstance(value, (types.ModuleType, type)) and (
+                    getattr(value, "__module__", value.__name__)
+                    .startswith("padic_fixvec")):
+                scopes.append(vars(value))
+        for scope in scopes:
+            for name in names:
+                value = scope.get(name)
+                if isinstance(value, types.FunctionType) and (
+                        value.__module__.startswith("padic_fixvec")):
+                    todo.append(value)
+    return seen
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLE_FORBIDDEN))
+def test_no_oracle_calls_the_closed_form_it_checks(oracle):
+    module, attr = oracle.split(".")
+    reached = _reachable(getattr(
+        importlib.import_module(f"padic_fixvec.{module}"), attr))
+    # The walk follows the oracle's own helpers, so it does see calls.
+    assert "budget.require" in reached
+    assert reached & ORACLE_FORBIDDEN[oracle] == set()
