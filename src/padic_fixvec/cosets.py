@@ -6,8 +6,11 @@ in closed form, as a power of q times a Gaussian multinomial, and by
 counting cosets over the finite ring (the oracle, restricted to residue
 degree 1). The oracle keys each coset by the flag of row spans of its
 trailing blocks, in the canonical echelon form of spans in (Z/p^m)^n
-(Howell, "Spans in the module (Z_m)^s", 1986). It grows the flags from the bottom row up, one
-row at a time, and keeps each partial flag once; it uses no order formula.
+(Howell, "Spans in the module (Z_m)^s", 1986). It grows the flags from the
+bottom row up, one row at a time, and keeps each partial flag once. A
+partial flag is extended by every row of (Z/p^m)^n that is 0 at its pivot
+columns, p**(m*(n-k)) rows after k steps, which are the reductions of all
+rows against it; it uses no order formula.
 """
 
 import math
@@ -32,8 +35,11 @@ def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
     if q < 2 or not partition or min(partition) < 1:
         raise ValueError(f"need q >= 2 and parts >= 1, got q={q}, {partition}")
     n = sum(partition)
-    total = math.prod(q**j - 1 for j in range(1, n + 1))
-    sub = math.prod(q**j - 1 for part in partition for j in range(1, part + 1))
+    falling = [1]  # falling[k] = prod_{j<=k} (q**j - 1)
+    for j in range(1, n + 1):
+        falling.append(falling[-1] * (q**j - 1))
+    total = falling[n]
+    sub = math.prod([falling[part] for part in partition])
     if total % sub != 0:
         raise RuntimeError(
             f"internal check failed: prod (q^j - 1) = {total} not divisible by"
@@ -82,12 +88,17 @@ def parabolic_index_enumerated(
     so on. Rows independent mod p are exactly the trailing rows of some
     invertible g. So the flags grow from the bottom row up, as a set of
     partial flags: the unit echelon forms of the finished trailing blocks
-    and of the rows taken so far. Each step puts every row of (Z/p^m)^n on
-    top of each partial flag and drops the rows dependent mod p. The span
-    of a new row with an old span depends on the old span only through its
+    and of the rows taken so far. Each step puts rows of (Z/p^m)^n on top
+    of each partial flag and drops the rows dependent mod p. The span of a
+    new row with an old span depends on the old span only through its
     echelon form, so equal partial flags are extended once, and _add_row
     reduces the new row against that stored form instead of echelonizing
-    the whole stack again. Gated by the p**(m*n*(n - n_1)) choices of the
+    the whole stack again. A row r and its reduction r' = r - sum_i
+    r[pivot_i] * E_i give the same _add_row, because the rows E_i of the
+    form are 1 at their own pivot and 0 at the others, and r' is what its
+    first loop computes. Those r' are exactly the rows that are 0 at every
+    pivot column, so only they are tried, from a list filtered once per
+    tuple of pivot columns. Gated by the p**(m*n*(n - n_1)) choices of the
     rows below the first block against the candidate budget; that count
     bounds the echelon forms computed.
     """
@@ -103,13 +114,23 @@ def parabolic_index_enumerated(
             f"coset enumeration for partition {partition} over Z/{p}^{m}")
     pm = p**m
     row_space = list(product(range(pm), repeat=n))
+    reduced: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): row_space}
+
+    def reduced_rows(echelon: Rows) -> list[tuple[int, ...]]:
+        pivots = tuple(lead.index(1) for lead in echelon)
+        if pivots not in reduced:
+            reduced[pivots] = [
+                row for row in row_space if not any(row[j] for j in pivots)
+            ]
+        return reduced[pivots]
+
     states: set[tuple] = {((), ())}
     for size in reversed(partition[1:]):
         for _ in range(size):
             states = {
                 (done, echelon)
                 for done, rows in states
-                for row in row_space
+                for row in reduced_rows(rows)
                 if (echelon := _add_row(row, rows, p, pm)) is not None
             }
         states = {((*done, rows), rows) for done, rows in states}

@@ -3,14 +3,19 @@
 Everything here is plain Python integer arithmetic: orders of the finite
 groups grow like q**(n*n*m) and would overflow any fixed-width type. The
 enumeration routines are the ground-truth oracles that the closed-form
-order and index formulas are checked against, so they deliberately stay
-naive (filter all candidate matrices by a unit determinant, computed by
-cofactor expansion, never by an order formula). A matrix is a tuple
-of row tuples (Rows) of reduced entries. Every enumeration, the parabolic
-rows included, passes budget.require before it builds any candidate.
+order and index formulas are checked against, so they decide invertibility
+by a unit determinant, computed by cofactor expansion, never by an order
+formula. The GL oracle lists, for each prefix of n - 1 rows, the last rows
+that make the determinant a unit; the parabolic oracle lists, per diagonal
+block, its groups of rows (an invertible block with free entries to its
+right). A stream builds every matrix from those lists, and a count sums or
+multiplies their lengths without building one. A matrix is a tuple of row
+tuples (Rows) of reduced entries. Every enumeration, the parabolic rows
+included, passes budget.require before it builds any candidate.
 """
 
 from itertools import product
+from operator import mul
 from typing import Iterator, Sequence
 
 from .budget import DEFAULT_CANDIDATE_BUDGET, require
@@ -122,14 +127,19 @@ def _block_starts(partition: Sequence[int]) -> list[int]:
     return starts
 
 
-def _enumerate_gl_rows(n: int, p: int, m: int, budget: int | None = None) -> Iterator[Rows]:
-    """Raw row-tuples of the invertible matrices, in lexicographic order.
+def _gl_last_rows(
+    n: int, p: int, m: int, budget: int | None = None
+) -> Iterator[tuple[Rows, list[tuple[int, ...]]]]:
+    """(prefix, last rows) for each prefix of n - 1 rows, in lexicographic
+    order: the rows r, in lexicographic order, that complete the prefix to
+    an invertible matrix. For n = 1 the prefix is empty and the single
+    entry of r must be a unit.
 
     Expanded along the last row r, det = sum_j cof_j * r_j, where cof is
-    the cofactor vector of the first n - 1 rows. So each prefix of n - 1
-    rows computes cof mod p once, and takes the rows r with a unit
-    sum_j cof_j * r_j from a list filtered once per distinct residue of
-    cof. For n = 1 the single entry must be a unit.
+    the cofactor vector of the prefix. So each prefix computes cof mod p
+    once, and takes the rows r with a unit sum_j cof_j * r_j from a list
+    filtered once per distinct residue of cof. A count sums the lengths of
+    the lists, without building a matrix.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -139,7 +149,7 @@ def _enumerate_gl_rows(n: int, p: int, m: int, budget: int | None = None) -> Ite
             f"enumerating GL_{n}(Z/{p}^{m})")
     row_space = list(product(range(p**m), repeat=n))
     if n == 1:
-        yield from ((row,) for row in row_space if row[0] % p)
+        yield (), [row for row in row_space if row[0] % p]
         return
     last_rows: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for prefix in product(row_space, repeat=n - 1):
@@ -150,10 +160,16 @@ def _enumerate_gl_rows(n: int, p: int, m: int, budget: int | None = None) -> Ite
         )
         if cof not in last_rows:
             last_rows[cof] = [
-                r for r in row_space
-                if sum(c * x for c, x in zip(cof, r)) % p
+                r for r in row_space if sum(map(mul, cof, r)) % p
             ]
-        for r in last_rows[cof]:
+        yield prefix, last_rows[cof]
+
+
+def _enumerate_gl_rows(n: int, p: int, m: int, budget: int | None = None) -> Iterator[Rows]:
+    """Raw row-tuples of the invertible matrices, in lexicographic order:
+    each prefix of _gl_last_rows with each of its last rows."""
+    for prefix, last_rows in _gl_last_rows(n, p, m, budget):
+        for r in last_rows:
             yield (*prefix, r)
 
 
@@ -167,18 +183,19 @@ def enumerate_gl(n: int, p: int, m: int, budget: int | None = None) -> Iterator[
     return _enumerate_gl_rows(n, p, m, budget)
 
 
-def _enumerate_parabolic_rows(
+def _parabolic_row_groups(
     partition: Sequence[int], p: int, m: int, budget: int | None = None
-) -> Iterator[Rows]:
-    """Raw row-tuples of the invertible block-upper-triangular matrices.
+) -> list[list[Rows]]:
+    """The row groups of the invertible block-upper-triangular matrices,
+    one list per diagonal block.
 
-    Structured enumeration. Each diagonal block contributes a group of
-    rows: a zero prefix up to the block's first column, the rows of an
-    invertible block, then free entries to the right. The matrices are the
-    product of the blocks' lists of such groups, exactly
-    parabolic_order(partition, p, m) of them, far fewer candidates than
-    filtering all of M_n. Gated, before any group is built, by the
-    p**(m * sum_i n_i * (n - start_i)) block-upper-triangular candidates.
+    A block's group of rows is a zero prefix up to the block's first
+    column, the rows of an invertible block, then free entries to the
+    right; each list holds every such group, the GL block rows enumerated
+    with every choice of tails. The matrices are the product of the lists,
+    so a count multiplies their lengths. Gated, before any group is built,
+    by the p**(m * sum_i n_i * (n - start_i)) block-upper-triangular
+    candidates.
     """
     n = sum(partition)
     starts = _block_starts(partition)
@@ -197,5 +214,15 @@ def _enumerate_parabolic_rows(
             for block in _enumerate_gl_rows(part, p, m, budget)
             for block_tails in product(tails, repeat=part)
         ])
-    for choice in product(*groups):
+    return groups
+
+
+def _enumerate_parabolic_rows(
+    partition: Sequence[int], p: int, m: int, budget: int | None = None
+) -> Iterator[Rows]:
+    """Raw row-tuples of the invertible block-upper-triangular matrices:
+    the product of the _parabolic_row_groups lists, exactly
+    parabolic_order(partition, p, m) of them, far fewer candidates than
+    filtering all of M_n."""
+    for choice in product(*_parabolic_row_groups(partition, p, m, budget)):
         yield sum(choice, ())

@@ -8,7 +8,7 @@ radical and its conductor_bounds(n). Everything here is arithmetic over the
 ground field of rational numbers; number-field generality is out of scope.
 """
 
-from itertools import chain, count
+from itertools import count
 from math import gcd, prod
 
 from .finite_ring import is_prime
@@ -19,6 +19,13 @@ MAX_N = 10**18
 # with GCD_BATCH differences multiplied together per gcd.
 TRIAL_BOUND = 1000
 GCD_BATCH = 128
+# The trial divisors: 2, 3, 5, 7 and the numbers below TRIAL_BOUND prime to
+# all four (a wheel of 210). They hold every prime below TRIAL_BOUND, and
+# composites only from 121 = 11**2 on; a composite divides nothing that is
+# left, because its primes were divided out first.
+_TRIAL_DIVISORS = (2, 3, 5, 7) + tuple(
+    d for d in range(11, TRIAL_BOUND, 2) if d % 3 and d % 5 and d % 7
+)
 
 
 class GlobalLevel(Value):
@@ -33,34 +40,37 @@ class GlobalLevel(Value):
         factorization = factorize(N)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "factorization", factorization)
-        object.__setattr__(self, "radical", prod(p for p, _ in factorization))
+        object.__setattr__(self, "radical", prod([p for p, _ in factorization]))
 
     def conductor_bounds(self, n: int) -> ConductorWindow:
         """Conductor range for a group size n at this minimal level:
         [max(rad(N), N // rad(N)), N**n]."""
         if n < 1:
             raise ValueError(f"group size must be >= 1, got {n}")
-        rad = self.radical
-        return ConductorWindow(max(rad, self.N // rad), self.N**n)
+        N, rad = self.N, self.radical
+        lo = N // rad
+        return ConductorWindow(lo if lo > rad else rad, N**n)
 
 
 def factorize(N: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization of 1 <= N <= 10**18, as (prime,
     exponent) pairs sorted by prime; () for N = 1.
 
-    Trial division by every d < TRIAL_BOUND, then Pollard-Brent splits each
-    composite cofactor; is_prime is exact on the whole range."""
+    Trial division by the wheel's divisors below TRIAL_BOUND, then
+    Pollard-Brent splits each composite cofactor; is_prime is exact on the
+    whole range."""
     if not (1 <= N <= MAX_N):
         raise ValueError(f"level must be in [1, 10^18], got {N}")
     exponents = {}
-    for d in chain((2,), range(3, TRIAL_BOUND, 2)):
+    for d in _TRIAL_DIVISORS:
         if d * d > N:
             break
         if N % d == 0:
-            exponents[d] = 0
+            e = 0
             while N % d == 0:
-                exponents[d] += 1
+                e += 1
                 N //= d
+            exponents[d] = e
     pending = [N] if N > 1 else []
     while pending:
         n = pending.pop()

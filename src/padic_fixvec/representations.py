@@ -115,20 +115,20 @@ class GenericRepresentation(Value):
 
     @property
     def n(self) -> int:
-        return sum(b.n for b in self.blocks)
+        return sum([b.n for b in self.blocks])
 
     @property
     def partition(self) -> tuple[int, ...]:
-        return tuple(b.n for b in self.blocks)
+        return tuple([b.n for b in self.blocks])
 
     def conductor(self) -> int:
         """The sum of block conductors (conductors are additive across
         parabolic induction)."""
-        return sum(b.conductor for b in self.blocks)
+        return sum([b.conductor for b in self.blocks])
 
     def min_level(self) -> int:
         """Least level with a fixed vector: max over blocks of ceil(c_i / n_i)."""
-        return max(-(-b.conductor // b.n) for b in self.blocks)
+        return max([-(-b.conductor // b.n) for b in self.blocks])
 
     def depth(self) -> "Fraction":
         """The greatest block depth: parabolic induction preserves depth."""

@@ -11,6 +11,7 @@ from padic_fixvec.cosets import (
 )
 from padic_fixvec.finite_ring import det_int, gl_order, parabolic_order
 from padic_fixvec.representations import GenericRepresentation
+from padic_fixvec.verify import INDEX_CASES
 
 
 @pytest.mark.parametrize("partition,q,m,expected", [
@@ -194,3 +195,31 @@ def test_closed_division_always_exact():
             for m in (1, 2, 3):
                 index = parabolic_index_closed(partition, q, m)
                 assert index >= 1
+
+
+def _index_trying_every_row(partition, p, m):
+    """Reference: the coset count that puts every row of (Z/p^m)^n, not
+    only the rows that are 0 at the pivot columns, on each partial flag."""
+    n, pm = sum(partition), p**m
+    row_space = list(itertools.product(range(pm), repeat=n))
+    states = {((), ())}
+    for size in reversed(partition[1:]):
+        for _ in range(size):
+            states = {
+                (done, echelon)
+                for done, rows in states
+                for row in row_space
+                if (echelon := _add_row(row, rows, p, pm)) is not None
+            }
+        states = {((*done, rows), rows) for done, rows in states}
+    return len(states)
+
+
+@pytest.mark.parametrize("partition,p,m", [
+    *INDEX_CASES,
+    *((part, 2, 1) for part in
+      ((2, 2), (1, 3), (1, 1, 2), (2, 1, 1), (1, 1, 1, 1))),
+])
+def test_pivot_filtered_index_equals_trying_every_row(partition, p, m):
+    assert (parabolic_index_enumerated(partition, p, m)
+            == _index_trying_every_row(partition, p, m))

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product, zip_longest
 from typing import Sequence
@@ -12,6 +13,8 @@ from padic_fixvec.finite_ring import (
     _block_starts,
     _enumerate_gl_rows,
     _enumerate_parabolic_rows,
+    _gl_last_rows,
+    _parabolic_row_groups,
     det_int,
     enumerate_gl,
     gl_order,
@@ -296,3 +299,26 @@ def test_parabolic_rows_budget_bounds_the_whole_enumeration():
     with pytest.raises(BudgetExceededError) as info:
         next(_enumerate_parabolic_rows((1, 1, 1, 1), 3, 2, budget=1000))
     assert (info.value.required, info.value.budget) == (3 ** 20, 1000)
+
+
+# The verify cosets suite counts through the helpers that build the streams,
+# without building a matrix; the counts must be the streams' lengths.
+@pytest.mark.parametrize("n,p,m", GL_COUNT_CASES)
+def test_gl_bulk_count_equals_the_stream_length(n, p, m):
+    count = sum(len(rows) for _, rows in _gl_last_rows(n, p, m))
+    assert count == len(list(_enumerate_gl_rows(n, p, m)))
+
+
+@pytest.mark.parametrize("partition,p,m", PARABOLIC_COUNT_CASES)
+def test_parabolic_bulk_count_equals_the_stream_length(partition, p, m):
+    count = math.prod(map(len, _parabolic_row_groups(partition, p, m)))
+    assert count == len(list(_enumerate_parabolic_rows(partition, p, m)))
+
+
+def test_count_helpers_keep_the_budget_gates():
+    with pytest.raises(BudgetExceededError) as info:
+        next(_gl_last_rows(2, 2, 2, budget=100))
+    assert "enumerating GL_2(Z/2^2)" in str(info.value)
+    with pytest.raises(BudgetExceededError) as info:
+        _parabolic_row_groups((1, 2), 2, 2, budget=100)
+    assert info.value.required == 2 ** 14

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from padic_fixvec.finite_ring import is_prime
 from padic_fixvec.global_bounds import (
     MAX_N,
+    TRIAL_BOUND,
     GlobalLevel,
+    _pollard_brent,
     factorize,
     local_conductor_window,
 )
@@ -47,6 +50,44 @@ def test_factorize_adds_a_prime_that_pollard_brent_returns_twice(N, pairs):
     # Both primes lie past trial division, so every factor comes from
     # Pollard-Brent and each repeated prime adds to its exponent.
     assert factorize(N) == pairs
+
+
+def _factorize_by_odd_divisors(N):
+    """Reference: factorize as it was before its trial divisors came from a
+    wheel, trial division by 2 and by every odd d < TRIAL_BOUND."""
+    exponents = {}
+    for d in (2, *range(3, TRIAL_BOUND, 2)):
+        if d * d > N:
+            break
+        if N % d == 0:
+            exponents[d] = 0
+            while N % d == 0:
+                exponents[d] += 1
+                N //= d
+    pending = [N] if N > 1 else []
+    while pending:
+        n = pending.pop()
+        if n < TRIAL_BOUND**2 or is_prime(n):
+            exponents[n] = exponents.get(n, 0) + 1
+        else:
+            d = _pollard_brent(n)
+            pending += [d, n // d]
+    return tuple(sorted(exponents.items()))
+
+
+def test_factorize_equals_the_odd_trial_loop():
+    near = [p for p in range(900, 1100) if is_prime(p)]
+    above = [p for p in range(TRIAL_BOUND, 3000) if is_prime(p)]
+    samples = [
+        *range(1, 2 * 10**5 + 1),
+        *(p * q for p in near for q in near if p <= q),
+        *(p * q * r for p, q, r in zip(near, near[1:], near[2:])),
+        *(p * p for p in above),
+        999999937**2,
+        10**18 - 1, 10**18 - 11, 10**18,
+    ]
+    for N in samples:
+        assert factorize(N) == _factorize_by_odd_divisors(N), N
 
 
 @pytest.mark.parametrize("N", [0, -5, MAX_N + 1])

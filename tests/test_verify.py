@@ -321,3 +321,15 @@ def test_verify_json_at_budget_1000_is_golden(capsys):
     argv = ["verify", "--suite", "all", "--json", "--budget", "1000"]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == VERIFY_BUDGET_1000.read_bytes()
+
+
+VERIFY_DEFAULT = pathlib.Path(__file__).parent / "data" / "verify_default.json"
+
+
+def test_verify_json_at_the_default_budget_is_golden(capsys):
+    # Every check's name, order, verdict and instance count at the default
+    # budget, byte for byte; recorded before the oracles counted in bulk.
+    # To record the file again (only after a deliberate change of output):
+    #   padic-fixvec verify --suite all --json > <the file>
+    assert main(["verify", "--suite", "all", "--json"]) == 0
+    assert capsys.readouterr().out.encode() == VERIFY_DEFAULT.read_bytes()
