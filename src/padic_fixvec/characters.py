@@ -96,9 +96,10 @@ def enumerate_unit_dual(
     return list(enumerate(map(conductor, product(*map(range, orders)))))
 
 
-def conductor_histogram(p: int, r: int, budget: int | None = None) -> list[int]:
-    """Count of enumerated dual characters per conductor, index 0..r."""
+def conductor_histogram(dual: list[tuple[int, int]], r: int) -> list[int]:
+    """Count of the characters of dual, the enumerate_unit_dual list of a
+    level r, per conductor, index 0..r."""
     hist = [0] * (r + 1)
-    for _, cond in enumerate_unit_dual(p, r, budget):
+    for _, cond in dual:
         hist[cond] += 1
     return hist

@@ -8,9 +8,9 @@ degree 1). The oracle keys each coset by the flag of row spans of its
 trailing blocks, in the canonical echelon form of spans in (Z/p^m)^n
 (Howell, "Spans in the module (Z_m)^s", 1986). It grows the flags from the
 bottom row up, one row at a time, and keeps each partial flag once. A
-partial flag is extended by every row of (Z/p^m)^n that is 0 at its pivot
-columns, p**(m*(n-k)) rows after k steps, which are the reductions of all
-rows against it; it uses no order formula.
+partial flag is extended by each line of the rows that are 0 at its pivot
+columns and independent of it mod p, tried once through its generator that
+is 1 at its first unit entry; it uses no order formula.
 """
 
 import math
@@ -49,31 +49,22 @@ def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
     return q ** ((m - 1) * d) * (total // sub)
 
 
-def _add_row(row: tuple[int, ...], echelon: Rows, p: int, pm: int) -> Rows | None:
+def _add_row(row: tuple[int, ...], echelon: Rows, pm: int) -> Rows:
     """The unit echelon form of the span of row and of echelon, itself a
-    unit echelon form; None when row is dependent on it mod p.
+    unit echelon form. row must be 0 at the pivot columns of echelon and
+    equal to 1 at its first unit entry, which becomes its pivot column.
 
     Each row of a unit echelon form is 0 mod p before its pivot, so its
-    first entry equal to 1 marks its pivot column. The new row is reduced
-    against the old rows, normalised at its first unit entry, and that
-    column is cleared from the old rows.
+    first entry equal to 1 marks its pivot column. The new row's pivot
+    column is cleared from the old rows, and the row goes in pivot order.
     """
-    pivots = [lead.index(1) for lead in echelon]
-    for lead, pivot in zip(echelon, pivots):
-        c = row[pivot]
-        if c:
-            row = tuple((x - c * y) % pm for x, y in zip(row, lead))
-    col = next((j for j, x in enumerate(row) if x % p), None)
-    if col is None:
-        return None
-    unit = pow(row[col], -1, pm)
-    row = tuple(x * unit % pm for x in row)
+    col = row.index(1)
     above = [
         tuple((x - lead[col] * y) % pm for x, y in zip(lead, row))
         if lead[col] else lead
         for lead in echelon
     ]
-    at = sum(1 for pivot in pivots if pivot < col)
+    at = sum(1 for lead in echelon if lead.index(1) < col)
     return (*above[:at], row, *above[at:])
 
 
@@ -89,18 +80,17 @@ def parabolic_index_enumerated(
     invertible g. So the flags grow from the bottom row up, as a set of
     partial flags: the unit echelon forms of the finished trailing blocks
     and of the rows taken so far. Each step puts rows of (Z/p^m)^n on top
-    of each partial flag and drops the rows dependent mod p. The span of a
+    of each partial flag, keeping those independent mod p. The span of a
     new row with an old span depends on the old span only through its
     echelon form, so equal partial flags are extended once, and _add_row
-    reduces the new row against that stored form instead of echelonizing
-    the whole stack again. A row r and its reduction r' = r - sum_i
-    r[pivot_i] * E_i give the same _add_row, because the rows E_i of the
-    form are 1 at their own pivot and 0 at the others, and r' is what its
-    first loop computes. Those r' are exactly the rows that are 0 at every
-    pivot column, so only they are tried, from a list filtered once per
-    tuple of pivot columns. Gated by the p**(m*n*(n - n_1)) choices of the
-    rows below the first block against the candidate budget; that count
-    bounds the echelon forms computed.
+    adds the new row to that stored form instead of echelonizing the whole
+    stack again. A row gives the same span as its reduction against the
+    form, which is 0 at every pivot column, so only those rows are tried,
+    from a list filtered once per tuple of pivot columns; and since
+    span(u*r) = span(r) for a unit u, only the one generator of each line
+    that is 1 at its first unit entry. Gated by the p**(m*n*(n - n_1))
+    choices of the rows below the first block against the candidate
+    budget; that count bounds the echelon forms computed.
     """
     if m < 1:
         raise ValueError(f"level m must be >= 1, got {m}")
@@ -113,14 +103,15 @@ def parabolic_index_enumerated(
     require(p ** (m * n * (n - partition[0])), budget, DEFAULT_CANDIDATE_BUDGET,
             f"coset enumeration for partition {partition} over Z/{p}^{m}")
     pm = p**m
-    row_space = list(product(range(pm), repeat=n))
-    reduced: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): row_space}
+    lines = [row for row in product(range(pm), repeat=n)
+             if next((x for x in row if x % p), None) == 1]
+    reduced: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): lines}
 
     def reduced_rows(echelon: Rows) -> list[tuple[int, ...]]:
         pivots = tuple(lead.index(1) for lead in echelon)
         if pivots not in reduced:
             reduced[pivots] = [
-                row for row in row_space if not any(row[j] for j in pivots)
+                row for row in lines if not any(row[j] for j in pivots)
             ]
         return reduced[pivots]
 
@@ -128,10 +119,9 @@ def parabolic_index_enumerated(
     for size in reversed(partition[1:]):
         for _ in range(size):
             states = {
-                (done, echelon)
+                (done, _add_row(row, rows, pm))
                 for done, rows in states
                 for row in reduced_rows(rows)
-                if (echelon := _add_row(row, rows, p, pm)) is not None
             }
         states = {((*done, rows), rows) for done, rows in states}
     return len(states)

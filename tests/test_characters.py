@@ -51,7 +51,7 @@ def test_num_classes_upto_closed_identity():
     (3, 1, [1, 1]),
 ])
 def test_conductor_histograms(p, r, expected):
-    assert conductor_histogram(p, r) == expected
+    assert conductor_histogram(enumerate_unit_dual(p, r), r) == expected
 
 
 @pytest.mark.parametrize("p,r", [(2, 5), (3, 4), (5, 3), (7, 2)])
@@ -111,7 +111,7 @@ def test_dlog_table_is_a_discrete_log(p):
 ])
 def test_conductor_histogram_matches_class_counts(p, levels):
     for r in levels:
-        assert conductor_histogram(p, r) == [
+        assert conductor_histogram(enumerate_unit_dual(p, r), r) == [
             num_classes_exact(p, i) for i in range(r + 1)
         ]
 

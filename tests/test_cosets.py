@@ -79,9 +79,17 @@ def test_index_m0_rejects_empty():
     ((1, 1, 1), 5, 1, 186),
     ((2, 1), 2, 2, 28),
     ((1, 2), 2, 2, 28),
+    # Past verify's INDEX_CASES: n = 3 at m = 2, p = 7, and m = 3.
+    ((2, 1), 3, 2, 117),
+    ((2, 1), 5, 2, 775),
+    ((1, 2), 3, 2, 117),
+    ((1, 1, 1), 3, 2, 1_404),
+    ((1, 1), 7, 2, 56),
+    ((1, 1), 3, 3, 36),
 ])
 def test_enumerated_index_values(partition, p, m, expected):
     assert parabolic_index_enumerated(partition, p, m) == expected
+    assert parabolic_index_closed(partition, p, m) == expected
 
 
 @pytest.mark.parametrize("partition,expected", [
@@ -124,12 +132,36 @@ def _echelon_from_scratch(rows, p, pm):
     return tuple(tuple(row) for row in echelon)
 
 
+def _add_row_reference(row, echelon, p, pm):
+    """Reference for _add_row that takes any row: the unit echelon form of
+    the span of row and of echelon; None when row is dependent on it mod p.
+    The row is reduced against the old rows, normalised at its first unit
+    entry, and that column is cleared from the old rows."""
+    pivots = [lead.index(1) for lead in echelon]
+    for lead, pivot in zip(echelon, pivots):
+        c = row[pivot]
+        if c:
+            row = tuple((x - c * y) % pm for x, y in zip(row, lead))
+    col = next((j for j, x in enumerate(row) if x % p), None)
+    if col is None:
+        return None
+    unit = pow(row[col], -1, pm)
+    row = tuple(x * unit % pm for x in row)
+    above = [
+        tuple((x - lead[col] * y) % pm for x, y in zip(lead, row))
+        if lead[col] else lead
+        for lead in echelon
+    ]
+    at = sum(1 for pivot in pivots if pivot < col)
+    return (*above[:at], row, *above[at:])
+
+
 def _unit_echelon(rows, p, pm):
-    """The oracle's key of the span of rows: _add_row folded over them,
-    first to last; None when they are dependent mod p."""
+    """The oracle's key of the span of rows: _add_row_reference folded over
+    them, first to last; None when they are dependent mod p."""
     echelon = ()
     for row in rows:
-        echelon = _add_row(row, echelon, p, pm)
+        echelon = _add_row_reference(row, echelon, p, pm)
         if echelon is None:
             return None
     return echelon
@@ -137,11 +169,14 @@ def _unit_echelon(rows, p, pm):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (5, 1)])
 def test_unit_echelon_is_a_canonical_span_key(p, m):
-    # The row-by-row oracle keys partial flags by folding _add_row, so the key
-    # must depend on the span alone and absorb a new row the same way. The
-    # oracle's one-row step _add_row(row, key) must equal the echelon form
-    # of the whole stack from scratch, and be None exactly when the new
-    # row is dependent mod p.
+    # The row-by-row oracle keys partial flags by folding its one-row step,
+    # so the key must depend on the span alone and absorb a new row the
+    # same way. The reference step _add_row_reference(row, key) must equal
+    # the echelon form of the whole stack from scratch, and be None exactly
+    # when the new row is dependent mod p. The oracle's _add_row, given
+    # only the rows that are 0 at the key's pivots and 1 at their first
+    # unit entry, one per line, must agree with it on each of them and
+    # reach every span that the reference reaches from all of (Z/p^m)^n.
     pm = p**m
     rng = random.Random(p * 10 + m)
     for n in (1, 2, 3):
@@ -163,12 +198,23 @@ def test_unit_echelon_is_a_canonical_span_key(p, m):
                 assert key == _echelon_from_scratch(rows, p, pm)
                 assert _unit_echelon(mixed, p, pm) == key
                 dependent = 0
+                spans = set()
                 for row in space:
                     scratch = _echelon_from_scratch((row, *rows), p, pm)
                     assert _unit_echelon((row, *key), p, pm) == scratch
                     assert _unit_echelon((row, *rows), p, pm) == scratch
-                    assert _add_row(row, key, p, pm) == scratch
+                    assert _add_row_reference(row, key, p, pm) == scratch
                     dependent += scratch is None
+                    spans.add(scratch)
+                pivots = [lead.index(1) for lead in key]
+                lines = [row for row in space
+                         if not any(row[j] for j in pivots)
+                         and next((x for x in row if x % p), None) == 1]
+                for row in lines:
+                    assert (_add_row(row, key, pm)
+                            == _add_row_reference(row, key, p, pm))
+                assert ({_add_row(row, key, pm) for row in lines}
+                        == spans - {None})
                 # The p**(m*k) rows of the span itself are dependent, so
                 # the None branch is reached.
                 assert dependent >= p ** (m * k)
@@ -198,8 +244,9 @@ def test_closed_division_always_exact():
 
 
 def _index_trying_every_row(partition, p, m):
-    """Reference: the coset count that puts every row of (Z/p^m)^n, not
-    only the rows that are 0 at the pivot columns, on each partial flag."""
+    """Reference: the coset count that puts every row of (Z/p^m)^n on each
+    partial flag, not only one generator of each line of the rows that are
+    0 at the pivot columns, through _add_row_reference."""
     n, pm = sum(partition), p**m
     row_space = list(itertools.product(range(pm), repeat=n))
     states = {((), ())}
@@ -209,7 +256,8 @@ def _index_trying_every_row(partition, p, m):
                 (done, echelon)
                 for done, rows in states
                 for row in row_space
-                if (echelon := _add_row(row, rows, p, pm)) is not None
+                for echelon in [_add_row_reference(row, rows, p, pm)]
+                if echelon is not None
             }
         states = {((*done, rows), rows) for done, rows in states}
     return len(states)
