@@ -4,7 +4,7 @@ dimensions, and enumeration oracles over Z/p^m that verify every closed
 form used.
 
 The exports are the representation types, which share the Representation
-protocol, and the closed forms and oracles that the verify suites compare.
+base class, and the closed forms and oracles that the verify suites compare.
 Helpers that are not exported stay importable from their modules.
 """
 

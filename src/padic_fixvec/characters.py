@@ -14,14 +14,13 @@ from math import lcm
 from operator import mul
 
 from .budget import DEFAULT_UNIT_DUAL_BUDGET, require
-from .finite_ring import is_prime
+from .finite_ring import check_q, is_prime
 
 
 def num_classes_exact(q: int, i: int) -> int:
     """Number of unramified-twist classes with conductor exactly i:
     1 for i=0, q-2 for i=1, (q-1)**2 * q**(i-2) for i >= 2."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    check_q(q)
     if i < 0:
         raise ValueError(f"conductor must be >= 0, got {i}")
     if i == 0:

@@ -13,7 +13,7 @@ own methods and returns ordered (key, value) rows, from which both outputs
 are built. SPECS maps each spec type to how its "rep" object is read and
 written, for parse_spec and spec_to_dict alike, and to the labels printed
 with its answers. A principal-series spec is read as two induced GL_1
-blocks and keeps its own name and labels. Every representation is a
+blocks and keeps its own name and labels. Every representation subclasses
 representations.Representation, so no query asks its type: even the size
 guard reads the dimension's lower bound q**rep.dim_exponent(m) from it.
 
@@ -265,9 +265,9 @@ def _printable_q(spec: ParsedSpec) -> int:
 def _dim_rows(spec: ParsedSpec, m: int) -> list[tuple[str, object]]:
     """Refused when the dimension cannot be printed: from its lower bound
     q**rep.dim_exponent(m) before it is computed, then from itself. Below
-    min_level the dimension is 0, and every type's dim answers 0 there
-    before any arithmetic of the size of q**m; from there on the bound
-    holds."""
+    min_level the dimension is 0: the base Representation.dim answers 0
+    there before any arithmetic of the size of q**m, so the bound is read
+    only from min_level on, where it holds."""
     rep = spec.rep
     q = _printable_q(spec)
     cause = f"level: {m} gives a dimension at field.f = {spec.f}"

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Sequence
 
 from .budget import DEFAULT_CANDIDATE_BUDGET, require
-from .finite_ring import Rows, is_prime
+from .finite_ring import Rows, check_q, is_prime
 
 
 def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
@@ -32,8 +32,9 @@ def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"level m must be >= 1, got {m}")
-    if q < 2 or not partition or min(partition) < 1:
-        raise ValueError(f"need q >= 2 and parts >= 1, got q={q}, {partition}")
+    check_q(q)
+    if not partition or min(partition) < 1:
+        raise ValueError(f"partition parts must be >= 1, got {tuple(partition)}")
     n = sum(partition)
     falling = [1]  # falling[k] = prod_{j<=k} (q**j - 1)
     for j in range(1, n + 1):

@@ -59,6 +59,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_q(q: int) -> None:
+    """The package's one check of a residue field size: q >= 2."""
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+
+
 def mat_mul(a: Rows, b: Rows, modulus: int) -> Rows:
     n = len(a)
     return tuple(
@@ -93,8 +99,7 @@ def gl_order(n: int, q: int, m: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"level m must be >= 1, got {m}")
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    check_q(q)
     order = q ** (n * n * (m - 1))
     qn = q**n
     for i in range(n):

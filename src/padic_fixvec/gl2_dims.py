@@ -2,11 +2,11 @@
 
 The entry points are the representation types SteinbergTwist and
 Supercuspidal; a principal series is the GenericRepresentation of two GL_1
-blocks. Each is a representations.Representation: it answers conductor(),
-min_level(), depth(), dim(q, m) and dim_exponent(m), and raises ValueError
-where it has no answer.
+blocks. Each subclasses representations.Representation, whose dim checks
+q and the level and answers 0 below min_level(); each type gives conductor(),
+min_level(), depth(), dim_exponent(m) and its closed form _dim(q, m).
 
-The twisted Steinberg dimension is a single closed form in its dim method.
+The twisted Steinberg dimension is the single closed form of its _dim.
 Minimal supercuspidal dimensions are computed two ways that must agree.
 One is a sum over twist classes, the count of Kirillov functions grouped
 by kirillov_groups: twist class conductor i adds num_classes_exact(q, i) *
@@ -20,13 +20,14 @@ conductor meets a twisting character in c = max(s, 2*c_chi).
 from typing import TYPE_CHECKING, Iterator
 
 from .characters import num_classes_exact
-from .representations import Value, depth_esi
+from .finite_ring import check_q
+from .representations import Representation, depth_esi
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class SteinbergTwist(Value):
+class SteinbergTwist(Representation):
     """Steinberg twisted by a quasi-character of conductor c_chi."""
 
     __slots__ = ("c_chi",)
@@ -46,27 +47,17 @@ class SteinbergTwist(Value):
         return max(self.c_chi, 1)
 
     def depth(self) -> "Fraction":
-        """max(c_chi, 1) - 1, the twisting character's; Steinberg's is 0."""
-        from fractions import Fraction
+        """max(c_chi - 1, 0), the twisting character's; Steinberg's is 0."""
+        return depth_esi(1, self.c_chi)
 
-        return Fraction(self.min_level() - 1)
-
-    def dim(self, q: int, m: int) -> int:
-        """At level m >= 1, q**m + q**(m-1) - 1 when the twist conductor is
-        <= m, else 0; 0 at level 0."""
-        if q < 2:
-            raise ValueError(f"q must be >= 2, got {q}")
-        if m < 0:
-            raise ValueError(f"level must be >= 0, got {m}")
-        if m == 0 or self.c_chi > m:
-            return 0
+    def _dim(self, q: int, m: int) -> int:
         return q**m + q ** (m - 1) - 1
 
     def dim_exponent(self, m: int) -> int:
         return m - 2
 
 
-class Supercuspidal(Value):
+class Supercuspidal(Representation):
     """A supercuspidal given by the minimal conductor s among its twists
     (always >= 2) and the conductor of the twisting quasi-character."""
 
@@ -90,15 +81,8 @@ class Supercuspidal(Value):
     def depth(self) -> "Fraction":
         return depth_esi(2, self.conductor())
 
-    def dim(self, q: int, m: int) -> int:
-        """0 while the conductor max(s, 2*c_chi) exceeds 2m; from there on
-        the twist is invisible and the dimension is the minimal one."""
-        if q < 2:
-            raise ValueError(f"q must be >= 2, got {q}")
-        if m < 0:
-            raise ValueError(f"level must be >= 0, got {m}")
-        if self.conductor() > 2 * m:
-            return 0
+    def _dim(self, q: int, m: int) -> int:
+        """The twist is invisible from the least level on: the minimal one."""
         return dim_supercuspidal_minimal(q, self.s, m)
 
     def dim_exponent(self, m: int) -> int:
@@ -124,8 +108,7 @@ def dim_supercuspidal_minimal(q: int, s: int, m: int) -> int:
     and 0 whenever s > 2m. With k = m - r, the sum is q**(r-1) * (q-1)**2
     * sum_{j<k} (2k - 1 - 2j) q**j, summed here in closed form.
     """
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    check_q(q)
     if s < 2:
         raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
     if m < 0:

@@ -8,14 +8,17 @@ fixed-space dimension of an induced representation all reduce to exact
 integer and rational arithmetic on this data.
 
 Every value type of the package is a Value: immutable, with __slots__, and
-equal to another exactly when both have the same type and fields. A depth
+equal to another exactly when both have the same type and fields. Each
+representation type is a Representation, whose one dim answers 0 below
+min_level() and gives each type's closed form only from there on. A depth
 imports fractions where it builds one, so no other query loads it.
 """
 
 import warnings
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .cosets import parabolic_index_closed
+from .finite_ring import check_q
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,10 +58,13 @@ class Value:
             object.__setattr__(self, name, value)
 
 
-class Representation(Protocol):
-    """What every representation type answers: GenericRepresentation and
-    the GL_2 types SteinbergTwist and Supercuspidal. Each method raises
-    ValueError where the type has no answer."""
+class Representation(Value):
+    """Base of GenericRepresentation and the GL_2 types SteinbergTwist and
+    Supercuspidal. A subclass gives conductor(), min_level(), depth(),
+    dim_exponent(m) and _dim(q, m), its closed form from min_level() on.
+    Each method raises ValueError where the type has no answer."""
+
+    __slots__ = ()
 
     def conductor(self) -> int: ...
 
@@ -66,7 +72,14 @@ class Representation(Protocol):
 
     def depth(self) -> "Fraction": ...
 
-    def dim(self, q: int, m: int) -> int: ...
+    def _dim(self, q: int, m: int) -> int: ...
+
+    def dim(self, q: int, m: int) -> int:
+        """Checks q and m; 0 below min_level(), else the closed form _dim."""
+        check_q(q)
+        if m < 0:
+            raise ValueError(f"level must be >= 0, got {m}")
+        return self._dim(q, m) if m >= self.min_level() else 0
 
     def dim_exponent(self, m: int) -> int:
         """An e with dim(q, m) >= q**e for every q once m >= min_level():
@@ -98,7 +111,7 @@ class SquareIntegrableBlock(Value):
             )
 
 
-class GenericRepresentation(Value):
+class GenericRepresentation(Representation):
     """Ordered square-integrable blocks of a parabolically induced
     representation; a Representation, like the GL_2 types in gl2_dims."""
 
@@ -135,11 +148,7 @@ class GenericRepresentation(Value):
         return max(depth_esi(b.n, b.conductor) for b in self.blocks)
 
     def dim(self, q: int, m: int) -> int:
-        """Fixed-space dimension at level m when every block is a character:
-        0 below min_level(), where some block has c_i > m, without building
-        the coset index; from there on the coset index [GL_n : P], or 1 at
-        level 0, where the integral group absorbs everything, and for one
-        block, where P is the whole group."""
+        """Refuses a block of size >= 2 before any other check."""
         for i, block in enumerate(self.blocks):
             if block.n >= 2:
                 raise ValueError(
@@ -149,12 +158,11 @@ class GenericRepresentation(Value):
                     " determine; use principal-series, steinberg-twist or"
                     " supercuspidal for the GL_2 fine types"
                 )
-        if q < 2:
-            raise ValueError(f"q must be >= 2, got {q}")
-        if m < 0:
-            raise ValueError(f"level must be >= 0, got {m}")
-        if m < self.min_level():
-            return 0
+        return super().dim(q, m)
+
+    def _dim(self, q: int, m: int) -> int:
+        """The coset index [GL_n : P]; 1 at level 0, where the integral group
+        absorbs everything, and for one block, where P is the whole group."""
         if m == 0 or len(self.blocks) == 1:
             return 1
         return parabolic_index_closed(self.partition, q, m)

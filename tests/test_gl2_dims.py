@@ -3,6 +3,8 @@ import time
 import pytest
 
 from padic_fixvec.characters import num_classes_exact
+from padic_fixvec.cosets import parabolic_index_closed
+from padic_fixvec.finite_ring import gl_order
 from padic_fixvec.gl2_dims import (
     SteinbergTwist,
     Supercuspidal,
@@ -252,6 +254,11 @@ def test_supercuspidal_sums_refuse_q_below_2(q):
             dim_supercuspidal_minimal(q, 4, m)
         with pytest.raises(ValueError, match=f"q must be >= 2, got {q}"):
             dim_supercuspidal_lattice(q, 4, m)
+    # One check, one wording, in every closed form that takes q.
+    for call in (lambda: num_classes_exact(q, 2), lambda: gl_order(2, q, 1),
+                 lambda: parabolic_index_closed((1, 1), q, 1)):
+        with pytest.raises(ValueError, match=f"q must be >= 2, got {q}"):
+            call()
 
 
 def test_block_size_refusal_precedes_the_q_check():

@@ -17,6 +17,7 @@ from padic_fixvec.representations import (
     ConductorWindow,
     GenericRepresentation,
     ImplausibleConductorWarning,
+    Representation,
     SquareIntegrableBlock,
     conductor_window,
     depth_esi,
@@ -328,7 +329,15 @@ def test_induced_dim_below_min_level_builds_no_coset_index():
     # At q = 2, m = 10**7 the group orders have tens of millions of bits.
     start = time.process_time()
     assert rep((1, 0), (1, 10**12)).dim(2, 10**7) == 0
+    assert SteinbergTwist(10**12).dim(2, 10**7) == 0
+    assert Supercuspidal(2, 10**12).dim(2, 10**7) == 0
     assert time.process_time() - start < 0.5
+
+
+def test_gl2_types_share_the_one_dim():
+    # The zero below min_level is written once, in the base class.
+    assert SteinbergTwist.dim is Representation.dim
+    assert Supercuspidal.dim is Representation.dim
 
 
 # Each value type with its fields, its constructor arguments (built twice,
