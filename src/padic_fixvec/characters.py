@@ -14,15 +14,14 @@ from math import lcm
 from operator import mul
 
 from .budget import DEFAULT_UNIT_DUAL_BUDGET, require
-from .finite_ring import check_q, is_prime
+from .finite_ring import check_conductor, check_level, check_prime, check_q
 
 
 def num_classes_exact(q: int, i: int) -> int:
     """Number of unramified-twist classes with conductor exactly i:
     1 for i=0, q-2 for i=1, (q-1)**2 * q**(i-2) for i >= 2."""
     check_q(q)
-    if i < 0:
-        raise ValueError(f"conductor must be >= 0, got {i}")
+    check_conductor(i)
     if i == 0:
         return 1
     if i == 1:
@@ -73,10 +72,8 @@ def enumerate_unit_dual(
 
     Gated by p**r <= budget (default 10**6).
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if r < 0:
-        raise ValueError(f"level must be >= 0, got {r}")
+    check_prime(p)
+    check_level(r, 0)
     require(p**r, budget, DEFAULT_UNIT_DUAL_BUDGET, f"dual of (Z/{p}^{r})^x")
 
     orders, dlog = _dlog_table(p, r)

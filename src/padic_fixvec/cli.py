@@ -41,7 +41,7 @@ import warnings
 from typing import Callable, Iterable, NamedTuple
 
 from .budget import parse_budget
-from .finite_ring import is_prime
+from .finite_ring import check_level, is_prime
 from .gl2_dims import SteinbergTwist, Supercuspidal, kirillov_groups
 from .global_bounds import GlobalLevel, local_conductor_window
 from .representations import GenericRepresentation, Representation
@@ -280,8 +280,7 @@ def _dim_rows(spec: ParsedSpec, m: int) -> list[tuple[str, object]]:
 
 
 def _has_fixed_rows(spec: ParsedSpec, m: int) -> list[tuple[str, object]]:
-    if m < 0:
-        raise SpecError(f"level must be >= 0, got {m}")
+    check_level(m, 0)
     return [("has_fixed_vector", m >= spec.rep.min_level()), ("level", m),
             ("q", _printable_q(spec))]
 

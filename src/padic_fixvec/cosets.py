@@ -18,7 +18,8 @@ from itertools import product
 from typing import Sequence
 
 from .budget import DEFAULT_CANDIDATE_BUDGET, require
-from .finite_ring import Rows, check_q, is_prime
+from .finite_ring import (Rows, above_blocks, check_level, check_partition,
+                          check_prime, check_q)
 
 
 def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
@@ -30,11 +31,9 @@ def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
     The division is exact; a non-exact division means an internal error and
     raises RuntimeError.
     """
-    if m < 1:
-        raise ValueError(f"level m must be >= 1, got {m}")
+    check_level(m, 1)
     check_q(q)
-    if not partition or min(partition) < 1:
-        raise ValueError(f"partition parts must be >= 1, got {tuple(partition)}")
+    check_partition(partition)
     n = sum(partition)
     falling = [1]  # falling[k] = prod_{j<=k} (q**j - 1)
     for j in range(1, n + 1):
@@ -46,8 +45,7 @@ def parabolic_index_closed(partition: Sequence[int], q: int, m: int) -> int:
             f"internal check failed: prod (q^j - 1) = {total} not divisible by"
             f" {sub} for partition {tuple(partition)}, q={q}, m={m}"
         )
-    d = (n * n - sum(part * part for part in partition)) // 2
-    return q ** ((m - 1) * d) * (total // sub)
+    return q ** ((m - 1) * above_blocks(partition)) * (total // sub)
 
 
 def _add_row(row: tuple[int, ...], echelon: Rows, pm: int) -> Rows:
@@ -93,13 +91,10 @@ def parabolic_index_enumerated(
     choices of the rows below the first block against the candidate
     budget; that count bounds the echelon forms computed.
     """
-    if m < 1:
-        raise ValueError(f"level m must be >= 1, got {m}")
+    check_level(m, 1)
     partition = tuple(partition)
-    if not partition or min(partition) < 1:
-        raise ValueError(f"partition parts must be >= 1, got {partition}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_partition(partition)
+    check_prime(p)
     n = sum(partition)
     require(p ** (m * n * (n - partition[0])), budget, DEFAULT_CANDIDATE_BUDGET,
             f"coset enumeration for partition {partition} over Z/{p}^{m}")

@@ -12,9 +12,15 @@ right). A stream builds every matrix from those lists, and a count sums or
 multiplies their lengths without building one. A matrix is a tuple of row
 tuples (Rows) of reduced entries. Every enumeration, the parabolic rows
 included, passes budget.require before it builds any candidate.
+
+Every module imports this one, so it holds the one check of each input
+domain, with one message: check_q (q >= 2), check_level (m >= 0, or m >= 1
+over Z/p^m), check_size (n >= 1), check_conductor (c >= 0), check_partition
+(nonempty, parts >= 1) and check_prime.
 """
 
-from itertools import product
+from itertools import accumulate, product
+from math import prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -65,6 +71,37 @@ def check_q(q: int) -> None:
         raise ValueError(f"q must be >= 2, got {q}")
 
 
+def check_level(m: int, least: int) -> None:
+    if m < least:
+        raise ValueError(f"level must be >= {least}, got {m}")
+
+
+def check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
+def check_conductor(c: int) -> None:
+    if c < 0:
+        raise ValueError(f"conductor must be >= 0, got {c}")
+
+
+def check_partition(partition: Sequence[int]) -> None:
+    if not partition or min(partition) < 1:
+        raise ValueError("partition must be nonempty with parts >= 1,"
+                         f" got {tuple(partition)}")
+
+
+def check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+def above_blocks(partition: Sequence[int]) -> int:
+    """d = sum_{i<j} n_i*n_j, the entries above the block diagonal."""
+    return (sum(partition) ** 2 - sum(part * part for part in partition)) // 2
+
+
 def mat_mul(a: Rows, b: Rows, modulus: int) -> Rows:
     n = len(a)
     return tuple(
@@ -95,10 +132,8 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
 def gl_order(n: int, q: int, m: int) -> int:
     """Order of GL_n over the residue ring at level m:
     q**(n*n*(m-1)) * prod_{i<n} (q**n - q**i), as an exact integer."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"level m must be >= 1, got {m}")
+    check_size(n)
+    check_level(m, 1)
     check_q(q)
     order = q ** (n * n * (m - 1))
     qn = q**n
@@ -110,26 +145,13 @@ def gl_order(n: int, q: int, m: int) -> int:
 def parabolic_order(partition: Sequence[int], q: int, m: int) -> int:
     """Order of the standard block-upper-triangular subgroup attached to the
     partition, over the residue ring at level m."""
-    if len(partition) == 0:
-        raise ValueError("partition must be nonempty")
-    if any(part < 1 for part in partition):
-        raise ValueError(f"all partition parts must be >= 1, got {tuple(partition)}")
-    order = 1
-    for part in partition:
-        order *= gl_order(part, q, m)
-    above = 0  # free entries above the block diagonal
-    for i in range(len(partition)):
-        for j in range(i + 1, len(partition)):
-            above += partition[i] * partition[j]
-    return order * q ** (m * above)
+    check_partition(partition)
+    return (prod([gl_order(part, q, m) for part in partition])
+            * q ** (m * above_blocks(partition)))
 
 
 def _block_starts(partition: Sequence[int]) -> list[int]:
-    starts, s = [], 0
-    for part in partition:
-        starts.append(s)
-        s += part
-    return starts
+    return list(accumulate(partition, initial=0))[:-1]
 
 
 def _gl_last_rows(
@@ -146,10 +168,9 @@ def _gl_last_rows(
     filtered once per distinct residue of cof. A count sums the lengths of
     the lists, without building a matrix.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    check_size(n)
+    check_level(m, 1)
+    check_prime(p)
     require(p ** (m * n * n), budget, DEFAULT_CANDIDATE_BUDGET,
             f"enumerating GL_{n}(Z/{p}^{m})")
     row_space = list(product(range(p**m), repeat=n))
@@ -200,8 +221,11 @@ def _parabolic_row_groups(
     with every choice of tails. The matrices are the product of the lists,
     so a count multiplies their lengths. Gated, before any group is built,
     by the p**(m * sum_i n_i * (n - start_i)) block-upper-triangular
-    candidates.
+    candidates, after the level, the partition and p are checked.
     """
+    check_level(m, 1)
+    check_partition(partition)
+    check_prime(p)
     n = sum(partition)
     starts = _block_starts(partition)
     require(

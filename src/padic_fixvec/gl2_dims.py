@@ -20,7 +20,7 @@ conductor meets a twisting character in c = max(s, 2*c_chi).
 from typing import TYPE_CHECKING, Iterator
 
 from .characters import num_classes_exact
-from .finite_ring import check_q
+from .finite_ring import check_conductor, check_level, check_q
 from .representations import Representation, depth_esi
 
 if TYPE_CHECKING:
@@ -33,8 +33,7 @@ class SteinbergTwist(Representation):
     __slots__ = ("c_chi",)
 
     def __init__(self, c_chi: int):
-        if c_chi < 0:
-            raise ValueError("conductor must be >= 0")
+        check_conductor(c_chi)
         object.__setattr__(self, "c_chi", c_chi)
 
     def conductor(self) -> int:
@@ -64,11 +63,7 @@ class Supercuspidal(Representation):
     __slots__ = ("s", "c_chi")
 
     def __init__(self, s: int, c_chi: int = 0):
-        if s < 2:
-            raise ValueError("minimal supercuspidal conductor must be"
-                             f" >= 2, got {s}")
-        if c_chi < 0:
-            raise ValueError("twist conductor must be >= 0")
+        _check_supercuspidal(s, c_chi)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "c_chi", c_chi)
 
@@ -89,13 +84,17 @@ class Supercuspidal(Representation):
         return m - 2
 
 
+def _check_supercuspidal(s: int, c_chi: int = 0) -> None:
+    """The one check of a minimal conductor, s >= 2; then c_chi >= 0."""
+    if s < 2:
+        raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
+    check_conductor(c_chi)
+
+
 def twisted_conductor_minimal(s: int, c_chi: int) -> int:
     """Conductor of (minimal supercuspidal of conductor s) twisted by a
     quasi-character of conductor c_chi: s if 2*c_chi <= s, else 2*c_chi."""
-    if s < 2:
-        raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
-    if c_chi < 0:
-        raise ValueError("twist conductor must be >= 0")
+    _check_supercuspidal(s, c_chi)
     return s if 2 * c_chi <= s else 2 * c_chi
 
 
@@ -109,10 +108,8 @@ def dim_supercuspidal_minimal(q: int, s: int, m: int) -> int:
     * sum_{j<k} (2k - 1 - 2j) q**j, summed here in closed form.
     """
     check_q(q)
-    if s < 2:
-        raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
-    if m < 0:
-        raise ValueError(f"level must be >= 0, got {m}")
+    _check_supercuspidal(s)
+    check_level(m, 0)
     if s > 2 * m:
         return 0
     r, k = s // 2, m - s // 2
@@ -131,8 +128,7 @@ def dim_supercuspidal_lattice(q: int, s: int, r: int) -> int:
     the Kirillov basis count at c_psi = 0, so it is computed as one. Every
     term is >= 1 when s <= 2r, and the sum is 0 when s > 2r.
     """
-    if r < 1:
-        raise ValueError(f"level must be >= 1, got {r}")
+    check_level(r, 1)
     return kirillov_basis_count(q, s, 0, r)
 
 
@@ -148,8 +144,7 @@ def kirillov_groups(
     support order in [c(twist) + c_psi - r, c_psi + r]. Requires
     r >= -c_psi, checked when iteration starts.
     """
-    if s < 2:
-        raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
+    _check_supercuspidal(s)
     if r < -c_psi:
         raise ValueError(f"need level r >= -c_psi, got r={r}, c_psi={c_psi}")
     for i in range(max(r + 1, 0)):

@@ -11,7 +11,7 @@ ground field of rational numbers; number-field generality is out of scope.
 from itertools import count
 from math import gcd, prod
 
-from .finite_ring import is_prime
+from .finite_ring import check_size, is_prime
 from .representations import ConductorWindow, Value
 
 MAX_N = 10**18
@@ -45,8 +45,7 @@ class GlobalLevel(Value):
     def conductor_bounds(self, n: int) -> ConductorWindow:
         """Conductor range for a group size n at this minimal level:
         [max(rad(N), N // rad(N)), N**n]."""
-        if n < 1:
-            raise ValueError(f"group size must be >= 1, got {n}")
+        check_size(n)
         N, rad = self.N, self.radical
         lo = N // rad
         return ConductorWindow(lo if lo > rad else rad, N**n)
@@ -115,8 +114,7 @@ def _pollard_brent(n: int) -> int:
 def local_conductor_window(n: int, e_p: int) -> ConductorWindow:
     """Conductor exponent range at a prime dividing the level with
     exponent e_p: [max(e_p - 1, 1), e_p * n]."""
-    if n < 1:
-        raise ValueError(f"group size must be >= 1, got {n}")
+    check_size(n)
     if e_p < 1:
-        raise ValueError(f"exponent must be >= 1, got {e_p}")
+        raise ValueError(f"need exponent e_p >= 1, got {e_p}")
     return ConductorWindow(max(e_p - 1, 1), e_p * n)

@@ -18,7 +18,7 @@ import warnings
 from typing import TYPE_CHECKING, Sequence
 
 from .cosets import parabolic_index_closed
-from .finite_ring import check_q
+from .finite_ring import above_blocks, check_conductor, check_level, check_q, check_size
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -77,8 +77,7 @@ class Representation(Value):
     def dim(self, q: int, m: int) -> int:
         """Checks q and m; 0 below min_level(), else the closed form _dim."""
         check_q(q)
-        if m < 0:
-            raise ValueError(f"level must be >= 0, got {m}")
+        check_level(m, 0)
         return self._dim(q, m) if m >= self.min_level() else 0
 
     def dim_exponent(self, m: int) -> int:
@@ -96,10 +95,8 @@ class SquareIntegrableBlock(Value):
     __slots__ = ("n", "conductor")
 
     def __init__(self, n: int, conductor: int):
-        if n < 1:
-            raise ValueError(f"block size must be >= 1, got {n}")
-        if conductor < 0:
-            raise ValueError(f"conductor must be >= 0, got {conductor}")
+        check_size(n)
+        check_conductor(conductor)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "conductor", conductor)
         if n >= 2 and conductor == 0:
@@ -170,7 +167,7 @@ class GenericRepresentation(Representation):
     def dim_exponent(self, m: int) -> int:
         """m*d with d = sum_{i<j} n_i*n_j: the coset index, a factor of the
         dimension, is at least q**(m*d)."""
-        return m * (self.n**2 - sum(k * k for k in self.partition)) // 2
+        return m * above_blocks(self.partition)
 
 
 def depth_esi(n: int, c: int) -> "Fraction":
@@ -178,33 +175,29 @@ def depth_esi(n: int, c: int) -> "Fraction":
     conductor c: max((c - n)/n, 0), exactly."""
     from fractions import Fraction
 
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if c < 0:
-        raise ValueError(f"conductor must be >= 0, got {c}")
+    check_size(n)
+    check_conductor(c)
     return max(Fraction(c - n, n), Fraction(0))
 
 
 def has_fixed_vector_esi(n: int, c: int, m: int) -> bool:
     """Square-integrable fixed-vector criterion at level m: c <= m*n."""
-    if n < 1 or c < 0 or m < 0:
-        raise ValueError("need n >= 1, c >= 0, m >= 0")
+    check_size(n)
+    check_conductor(c)
+    check_level(m, 0)
     return c <= m * n
 
 
 def has_fixed_vector_depth(depth: "Fraction", m: int) -> bool:
     """Depth criterion at positive level m: depth <= m - 1, compared exactly."""
-    if m < 1:
-        raise ValueError(f"the depth criterion needs level m >= 1, got {m}")
+    check_level(m, 1)
     return depth <= m - 1
 
 
 def has_fixed_vector(rep: GenericRepresentation, m: int) -> bool:
     """Blockwise criterion: a fixed vector at level m exists iff every block
-    satisfies the square-integrable criterion. It never reads min_level,
-    which the verify suites check against it."""
-    if m < 0:
-        raise ValueError(f"level must be >= 0, got {m}")
+    satisfies the square-integrable criterion, which refuses m < 0. It never
+    reads min_level, which the verify suites check against it."""
     # A loop, not all() over a generator: it is twice as fast, and the
     # verify windows suite calls this about 80,000 times.
     for b in rep.blocks:
@@ -237,9 +230,7 @@ def conductor_window(n: int, m: int, square_integrable: bool = False) -> Conduct
     """Window of possible conductors for a representation of GL_n whose least
     fixed-vector level is m: [m, m*n] generically, [(m-1)*n + 1, m*n] for
     a single square-integrable block, and [0, 0] when m = 0."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 0:
-        raise ValueError(f"level must be >= 0, got {m}")
+    check_size(n)
+    check_level(m, 0)
     lo = (m - 1) * n + 1 if square_integrable else m
     return ConductorWindow(max(lo, 0), m * n)

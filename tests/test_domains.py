@@ -1,0 +1,214 @@
+"""Input domains: each is refused by one shared check, with one message.
+
+The table holds, for every public function that checks a domain, each
+out-of-domain argument and the exact message it must raise. The source walk
+finds every ValueError whose message states a domain, and requires it to
+be raised inside a shared check.
+"""
+
+import ast
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from padic_fixvec.characters import enumerate_unit_dual, num_classes_exact
+from padic_fixvec.cli import _has_fixed_rows, load_spec
+from padic_fixvec.cosets import parabolic_index_closed, parabolic_index_enumerated
+from padic_fixvec.finite_ring import enumerate_gl, gl_order, parabolic_order
+from padic_fixvec.gl2_dims import (
+    SteinbergTwist,
+    Supercuspidal,
+    dim_supercuspidal_lattice,
+    dim_supercuspidal_minimal,
+    kirillov_basis_count,
+    kirillov_groups,
+    twisted_conductor_minimal,
+)
+from padic_fixvec.global_bounds import GlobalLevel, local_conductor_window
+from padic_fixvec.representations import (
+    GenericRepresentation,
+    SquareIntegrableBlock,
+    conductor_window,
+    depth_esi,
+    has_fixed_vector,
+    has_fixed_vector_depth,
+    has_fixed_vector_esi,
+)
+
+SRC = pathlib.Path(__file__).parents[1] / "src" / "padic_fixvec"
+
+LEVEL_0 = "level must be >= 0, got -1"
+LEVEL_1 = "level must be >= 1, got 0"
+SIZE = "n must be >= 1, got 0"
+CONDUCTOR = "conductor must be >= 0, got -1"
+PRIME = "p must be prime, got 4"
+Q = "q must be >= 2, got 1"
+S = "minimal supercuspidal conductor must be >= 2, got 1"
+
+
+def partition(parts) -> str:
+    return f"partition must be nonempty with parts >= 1, got {parts}"
+
+
+def _induced():
+    return GenericRepresentation.from_pairs([(1, 0), (1, 1)])
+
+
+# (function, out-of-domain argument, call, exact message). Generators are
+# advanced once, since their checks run when iteration starts.
+DOMAIN_REFUSALS = [
+    ("gl_order", "n=0", lambda: gl_order(0, 2, 1), SIZE),
+    ("gl_order", "m=0", lambda: gl_order(1, 2, 0), LEVEL_1),
+    ("gl_order", "q=1", lambda: gl_order(1, 1, 1), Q),
+    ("parabolic_order", "()", lambda: parabolic_order((), 2, 1),
+     partition(())),
+    ("parabolic_order", "(1, 0)", lambda: parabolic_order([1, 0], 2, 1),
+     partition((1, 0))),
+    ("parabolic_order", "m=0", lambda: parabolic_order((1, 1), 2, 0), LEVEL_1),
+    ("enumerate_gl", "n=0", lambda: next(enumerate_gl(0, 2, 1)), SIZE),
+    ("enumerate_gl", "m=0", lambda: next(enumerate_gl(1, 2, 0)), LEVEL_1),
+    ("enumerate_gl", "p=4", lambda: next(enumerate_gl(1, 4, 1)), PRIME),
+    ("parabolic_index_closed", "m=0",
+     lambda: parabolic_index_closed((1, 1), 2, 0), LEVEL_1),
+    ("parabolic_index_closed", "q=1",
+     lambda: parabolic_index_closed((1, 1), 1, 1), Q),
+    ("parabolic_index_closed", "()",
+     lambda: parabolic_index_closed((), 2, 1), partition(())),
+    ("parabolic_index_closed", "(1, 0)",
+     lambda: parabolic_index_closed((1, 0), 2, 1), partition((1, 0))),
+    ("parabolic_index_enumerated", "m=0",
+     lambda: parabolic_index_enumerated((1, 1), 2, 0), LEVEL_1),
+    ("parabolic_index_enumerated", "()",
+     lambda: parabolic_index_enumerated((), 2, 1), partition(())),
+    ("parabolic_index_enumerated", "(1, 0)",
+     lambda: parabolic_index_enumerated([1, 0], 2, 1), partition((1, 0))),
+    ("parabolic_index_enumerated", "p=4",
+     lambda: parabolic_index_enumerated((1, 1), 4, 1), PRIME),
+    ("num_classes_exact", "q=1", lambda: num_classes_exact(1, 0), Q),
+    ("num_classes_exact", "i=-1", lambda: num_classes_exact(2, -1), CONDUCTOR),
+    ("enumerate_unit_dual", "p=4", lambda: enumerate_unit_dual(4, 1), PRIME),
+    ("enumerate_unit_dual", "r=-1", lambda: enumerate_unit_dual(2, -1),
+     LEVEL_0),
+    ("SteinbergTwist", "c_chi=-1", lambda: SteinbergTwist(-1), CONDUCTOR),
+    ("Supercuspidal", "s=1", lambda: Supercuspidal(1), S),
+    ("Supercuspidal", "c_chi=-1", lambda: Supercuspidal(2, -1), CONDUCTOR),
+    ("twisted_conductor_minimal", "s=1",
+     lambda: twisted_conductor_minimal(1, 0), S),
+    ("twisted_conductor_minimal", "c_chi=-1",
+     lambda: twisted_conductor_minimal(2, -1), CONDUCTOR),
+    ("dim_supercuspidal_minimal", "q=1",
+     lambda: dim_supercuspidal_minimal(1, 2, 1), Q),
+    ("dim_supercuspidal_minimal", "s=1",
+     lambda: dim_supercuspidal_minimal(2, 1, 1), S),
+    ("dim_supercuspidal_minimal", "m=-1",
+     lambda: dim_supercuspidal_minimal(2, 2, -1), LEVEL_0),
+    ("dim_supercuspidal_lattice", "r=0",
+     lambda: dim_supercuspidal_lattice(2, 2, 0), LEVEL_1),
+    ("kirillov_groups", "s=1", lambda: next(kirillov_groups(2, 1, 0, 1)), S),
+    ("kirillov_basis_count", "s=1", lambda: kirillov_basis_count(2, 1, 0, 1),
+     S),
+    ("SteinbergTwist.dim", "m=-1", lambda: SteinbergTwist(1).dim(2, -1),
+     LEVEL_0),
+    ("SteinbergTwist.dim", "q=1", lambda: SteinbergTwist(1).dim(1, 1), Q),
+    ("Supercuspidal.dim", "m=-1", lambda: Supercuspidal(2).dim(2, -1),
+     LEVEL_0),
+    ("GenericRepresentation.dim", "m=-1", lambda: _induced().dim(2, -1),
+     LEVEL_0),
+    ("SquareIntegrableBlock", "n=0", lambda: SquareIntegrableBlock(0, 0),
+     SIZE),
+    ("SquareIntegrableBlock", "conductor=-1",
+     lambda: SquareIntegrableBlock(1, -1), CONDUCTOR),
+    ("depth_esi", "n=0", lambda: depth_esi(0, 0), SIZE),
+    ("depth_esi", "c=-1", lambda: depth_esi(1, -1), CONDUCTOR),
+    ("has_fixed_vector_esi", "n=0", lambda: has_fixed_vector_esi(0, 0, 0),
+     SIZE),
+    ("has_fixed_vector_esi", "c=-1", lambda: has_fixed_vector_esi(1, -1, 0),
+     CONDUCTOR),
+    ("has_fixed_vector_esi", "m=-1", lambda: has_fixed_vector_esi(1, 0, -1),
+     LEVEL_0),
+    ("has_fixed_vector_depth", "m=0",
+     lambda: has_fixed_vector_depth(Fraction(0), 0), LEVEL_1),
+    ("has_fixed_vector", "m=-1", lambda: has_fixed_vector(_induced(), -1),
+     LEVEL_0),
+    ("conductor_window", "n=0", lambda: conductor_window(0, 1), SIZE),
+    ("conductor_window", "m=-1", lambda: conductor_window(1, -1), LEVEL_0),
+    ("GlobalLevel.conductor_bounds", "n=0",
+     lambda: GlobalLevel(12).conductor_bounds(0), SIZE),
+    ("local_conductor_window", "n=0", lambda: local_conductor_window(0, 1),
+     SIZE),
+    ("cli._has_fixed_rows", "m=-1", lambda: _has_fixed_rows(load_spec(
+        '{"field": {"p": 3}, "rep": {"type": "steinberg-twist", "c_chi": 1}}'
+    ), -1), LEVEL_0),
+    # When several arguments are out of domain, the first check still wins.
+    ("has_fixed_vector_esi", "n=0, c=-1, m=-1",
+     lambda: has_fixed_vector_esi(0, -1, -1), SIZE),
+    ("gl_order", "n=0, q=1, m=0", lambda: gl_order(0, 1, 0), SIZE),
+    ("parabolic_index_closed", "(), q=1, m=0",
+     lambda: parabolic_index_closed((), 1, 0), LEVEL_1),
+    ("dim_supercuspidal_minimal", "q=1, s=1, m=-1",
+     lambda: dim_supercuspidal_minimal(1, 1, -1), Q),
+]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [pytest.param(call, message, id=f"{name}[{argument}]")
+     for name, argument, call, message in DOMAIN_REFUSALS],
+)
+def test_out_of_domain_arguments_get_the_one_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# The shared checks, and the words that mark a domain refusal's message.
+SHARED_CHECKS = {
+    "finite_ring.check_q", "finite_ring.check_level", "finite_ring.check_size",
+    "finite_ring.check_conductor", "finite_ring.check_partition",
+    "finite_ring.check_prime", "gl2_dims._check_supercuspidal",
+}
+DOMAIN_WORDS = ("must be >=", "must be prime", "must be nonempty")
+
+
+def _message_text(node: ast.expr) -> str:
+    """The literal text of a message: a string, or an f-string's constant
+    parts."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value for part in node.values
+                       if isinstance(part, ast.Constant))
+    return ""
+
+
+def _domain_raises(tree: ast.Module, module: str):
+    """(qualified name of the enclosing function, message) of each
+    `raise ValueError(message)` whose message states a domain."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Raise)
+                    and isinstance(child.exc, ast.Call)
+                    and getattr(child.exc.func, "id", None) == "ValueError"
+                    and child.exc.args):
+                text = _message_text(child.exc.args[0])
+                if any(word in text for word in DOMAIN_WORDS):
+                    yield where, text
+            yield from walk(child, where)
+
+    return list(walk(tree, module))
+
+
+def test_domain_refusals_are_raised_only_by_the_shared_checks():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":  # its spec refusals name a JSON path
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += _domain_raises(tree, path.stem)
+    where = [function for function, _ in found]
+    # Each shared check raises exactly once, and nothing else does.
+    assert sorted(where) == sorted(SHARED_CHECKS), found

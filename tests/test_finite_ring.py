@@ -322,3 +322,24 @@ def test_count_helpers_keep_the_budget_gates():
     with pytest.raises(BudgetExceededError) as info:
         _parabolic_row_groups((1, 2), 2, 2, budget=100)
     assert info.value.required == 2 ** 14
+
+
+# Out-of-domain parabolic rows are refused by the shared checks, before the
+# budget gate: at budget 1 a gate that ran first would raise
+# BudgetExceededError, and an empty partition would count one matrix.
+PARABOLIC_ROWS_REFUSALS = [
+    (((), 2, 1), "partition must be nonempty with parts >= 1, got ()"),
+    (((1, 0), 2, 1), "partition must be nonempty with parts >= 1, got (1, 0)"),
+    (((1, 1), 4, 1), "p must be prime, got 4"),
+    (((1, 1), 2, 0), "level must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("args,message", PARABOLIC_ROWS_REFUSALS)
+def test_parabolic_rows_refuse_out_of_domain(args, message):
+    with pytest.raises(ValueError) as info:
+        _parabolic_row_groups(*args, budget=1)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        next(_enumerate_parabolic_rows(*args, budget=1))
+    assert str(info.value) == message
