@@ -223,9 +223,9 @@ def _blocks(max_n: int, max_c: int) -> dict:
         }
 
 
-def _single_block_reps():
-    """Each block of the windows grid as a representation of its own."""
-    for block in _blocks(4, 8).values():
+def _single_block_reps(max_n: int, max_c: int):
+    """Each block of _blocks(max_n, max_c) as a representation of its own."""
+    for block in _blocks(max_n, max_c).values():
         yield representations.GenericRepresentation((block,))
 
 
@@ -265,7 +265,7 @@ def _in_window(rep, least: int, square_integrable=False) -> str | None:
     """The conductor lies in the window of the rep's least level."""
     window = representations.conductor_window(rep.n, least, square_integrable)
     c = rep.conductor()
-    return not window.lo <= c <= window.hi and f"c={c} not in {window}"
+    return not window.contains(c) and f"c={c} not in {window}"
 
 
 def _global_bounds_cases():
@@ -325,6 +325,8 @@ def _checks(budget: int | None) -> list[tuple]:
     """Every check as a row (suite, name, cases, test), in report order. The
     tests that run an enumeration oracle pass it budget."""
     induced = _with_min_level(_all_induced_reps(4, 8))
+    # The two twist-grid rows hold this one stream, so they share one pass.
+    twists = _twist_cases()
     exponents = _LocalExponents()
     # The two unit-dual rows share one build per (p, r) in this table.
     dual = functools.lru_cache(
@@ -417,7 +419,7 @@ def _checks(budget: int | None) -> list[tuple]:
          _minimal_level_dim),
         ("supercuspidal",
          "twisting is invisible once the level passes the twisted conductor",
-         _twist_cases(),
+         twists,
          lambda q, s, c_chi, m: _differ(
              gl2_dims.Supercuspidal(s, c_chi).dim(q, m),
              # False at m = 0, which the lattice sum rejects.
@@ -440,7 +442,7 @@ def _checks(budget: int | None) -> list[tuple]:
          lambda q, rep, m: _differ(rep.dim(q, m) > 0, m >= rep.min_level())),
         ("supercuspidal",
          "positive dimension exactly when conductor <= 2 * level",
-         _twist_cases(), _vanishes_below_conductor),
+         twists, _vanishes_below_conductor),
         ("supercuspidal",
          "unramified principal series dimension equals the coset count",
          [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)],
@@ -449,12 +451,10 @@ def _checks(budget: int | None) -> list[tuple]:
              _principal_series(0, 0).dim(p, r),
          )),
         ("windows", "conductor criterion agrees with depth criterion",
-         itertools.product(range(1, 6), range(0, 21), range(1, 7)),
-         lambda n, c, m: _differ(
-             representations.has_fixed_vector_esi(n, c, m),
-             representations.has_fixed_vector_depth(
-                 representations.depth_esi(n, c), m
-             ),
+         ((rep, m) for rep in _single_block_reps(5, 20) for m in range(1, 7)),
+         lambda rep, m: _differ(
+             representations.has_fixed_vector(rep, m),
+             representations.has_fixed_vector_depth(rep.depth(), m),
          )),
         ("windows", "GL_2 supercuspidal depth matches the general formula",
          ((c,) for c in range(2, 21)),
@@ -466,7 +466,7 @@ def _checks(budget: int | None) -> list[tuple]:
          induced, _least_level),
         ("windows",
          "single-block conductors lie in the square-integrable window",
-         _with_min_level(_single_block_reps()),
+         _with_min_level(_single_block_reps(4, 8)),
          lambda rep, least: _in_window(rep, least, True)),
         ("windows", "conductors lie in the generic window [m, mn]",
          induced, _in_window),

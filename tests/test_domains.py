@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from padic_fixvec import representations
 from padic_fixvec.characters import enumerate_unit_dual, num_classes_exact
 from padic_fixvec.cli import _has_fixed_rows, load_spec
 from padic_fixvec.cosets import parabolic_index_closed, parabolic_index_enumerated
@@ -33,7 +34,6 @@ from padic_fixvec.representations import (
     depth_esi,
     has_fixed_vector,
     has_fixed_vector_depth,
-    has_fixed_vector_esi,
 )
 
 SRC = pathlib.Path(__file__).parents[1] / "src" / "padic_fixvec"
@@ -121,12 +121,6 @@ DOMAIN_REFUSALS = [
      lambda: SquareIntegrableBlock(1, -1), CONDUCTOR),
     ("depth_esi", "n=0", lambda: depth_esi(0, 0), SIZE),
     ("depth_esi", "c=-1", lambda: depth_esi(1, -1), CONDUCTOR),
-    ("has_fixed_vector_esi", "n=0", lambda: has_fixed_vector_esi(0, 0, 0),
-     SIZE),
-    ("has_fixed_vector_esi", "c=-1", lambda: has_fixed_vector_esi(1, -1, 0),
-     CONDUCTOR),
-    ("has_fixed_vector_esi", "m=-1", lambda: has_fixed_vector_esi(1, 0, -1),
-     LEVEL_0),
     ("has_fixed_vector_depth", "m=0",
      lambda: has_fixed_vector_depth(Fraction(0), 0), LEVEL_1),
     ("has_fixed_vector", "m=-1", lambda: has_fixed_vector(_induced(), -1),
@@ -141,8 +135,8 @@ DOMAIN_REFUSALS = [
         '{"field": {"p": 3}, "rep": {"type": "steinberg-twist", "c_chi": 1}}'
     ), -1), LEVEL_0),
     # When several arguments are out of domain, the first check still wins.
-    ("has_fixed_vector_esi", "n=0, c=-1, m=-1",
-     lambda: has_fixed_vector_esi(0, -1, -1), SIZE),
+    ("GenericRepresentation.from_pairs", "n=0, c=-1",
+     lambda: GenericRepresentation.from_pairs([(0, -1)]), SIZE),
     ("gl_order", "n=0, q=1, m=0", lambda: gl_order(0, 1, 0), SIZE),
     ("parabolic_index_closed", "(), q=1, m=0",
      lambda: parabolic_index_closed((), 1, 0), LEVEL_1),
@@ -160,6 +154,26 @@ def test_out_of_domain_arguments_get_the_one_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_has_fixed_vector_checks_only_the_level(monkeypatch):
+    # Built blocks checked their own n and c, so the blockwise criterion
+    # makes one check call, of m, however many blocks it compares.
+    pi = GenericRepresentation.from_pairs([(1, 0), (1, 1), (2, 3), (1, 2)])
+    calls = []
+
+    def counted(name, check):
+        def wrapper(*args):
+            calls.append(name)
+            return check(*args)
+        return wrapper
+
+    for name in dir(representations):
+        if name.startswith("check_"):
+            monkeypatch.setattr(representations, name,
+                                counted(name, getattr(representations, name)))
+    assert has_fixed_vector(pi, 2) is True
+    assert calls == ["check_level"]
 
 
 # The shared checks, and the words that mark a domain refusal's message.

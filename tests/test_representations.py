@@ -23,12 +23,19 @@ from padic_fixvec.representations import (
     depth_esi,
     has_fixed_vector,
     has_fixed_vector_depth,
-    has_fixed_vector_esi,
 )
 
 
 def rep(*pairs):
     return GenericRepresentation.from_pairs(pairs)
+
+
+def one_block_reps():
+    """(n, c, the rep of the one block (n, c)) for n <= 5 and c <= 20. The
+    implausible blocks of size >= 2 and conductor 0 belong to the grid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImplausibleConductorWarning)
+        return [(n, c, rep((n, c))) for n in range(1, 6) for c in range(21)]
 
 
 @pytest.mark.parametrize("pairs,expected", [
@@ -65,7 +72,13 @@ def test_depth_esi_rejects_bad_parameters():
     (1, 0, 0, True),
 ])
 def test_has_fixed_vector_esi(n, c, m, expected):
-    assert has_fixed_vector_esi(n, c, m) is expected
+    assert has_fixed_vector(rep((n, c)), m) is expected
+
+
+def test_has_fixed_vector_on_one_block():
+    for n, c, pi in one_block_reps():
+        for m in range(0, 7):
+            assert has_fixed_vector(pi, m) is (c <= m * n), (n, c, m)
 
 
 @pytest.mark.parametrize("depth,m,expected", [
@@ -100,12 +113,11 @@ def test_min_level(pairs, expected):
 
 
 def test_criteria_agree_on_a_grid():
-    for n in range(1, 6):
-        for c in range(0, 21):
-            for m in range(1, 7):
-                assert has_fixed_vector_esi(n, c, m) == has_fixed_vector_depth(
-                    depth_esi(n, c), m
-                )
+    for n, c, pi in one_block_reps():
+        for m in range(1, 7):
+            assert has_fixed_vector(pi, m) == has_fixed_vector_depth(
+                depth_esi(n, c), m
+            ), (n, c, m)
 
 
 def test_conductor_window_esi():

@@ -309,6 +309,28 @@ def test_windows_grid_checks_share_one_pass(monkeypatch):
         "9999 instances")
 
 
+def test_twist_grid_checks_share_one_pass(monkeypatch):
+    # Both supercuspidal checks on the (q, s, c_chi, m) twist grid hold one
+    # stream, which a supercuspidal run walks once, not once per check.
+    yielded = 0
+    twist_cases = verify._twist_cases
+
+    def counted():
+        nonlocal yielded
+        for case in twist_cases():
+            yielded += 1
+            yield case
+
+    monkeypatch.setattr(verify, "_twist_cases", counted)
+    checks = {c.name: c.detail for c in SUITES["supercuspidal"]().checks}
+    assert yielded == 2205
+    assert checks[
+        "twisting is invisible once the level passes the twisted conductor"
+    ] == "2205 instances"
+    assert checks["positive dimension exactly when conductor <= 2 * level"] == (
+        "2205 instances")
+
+
 VERIFY_BUDGET_1000 = (
     pathlib.Path(__file__).parent / "data" / "verify_budget_1000.json")
 
