@@ -19,7 +19,8 @@ guard reads the dimension's lower bound q**rep.dim_exponent(m) from it.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 
-Spec schema::
+Spec schema. The library's one check of each field's domain refuses it, as
+"<JSON path>: <its message>"; f, which only the CLI takes, by _check_degree::
 
     {
       "field": {"p": <prime>, "f": <residue degree, default 1>},
@@ -41,8 +42,9 @@ import warnings
 from typing import Callable, Iterable, NamedTuple
 
 from .budget import parse_budget
-from .finite_ring import check_level, is_prime
-from .gl2_dims import SteinbergTwist, Supercuspidal, kirillov_groups
+from .finite_ring import check_conductor, check_level, check_prime, check_size
+from .gl2_dims import (SteinbergTwist, Supercuspidal, _check_supercuspidal,
+                       kirillov_groups)
 from .global_bounds import GlobalLevel, local_conductor_window
 from .representations import GenericRepresentation, Representation
 
@@ -71,7 +73,12 @@ def _as_object(value, path: str) -> dict:
     return value
 
 
-def _get_int(obj: dict, key: str, path: str, minimum: int, default=None) -> int:
+def _check_degree(f: int) -> None:
+    if f < 1:
+        raise ValueError(f"residue degree must be >= 1, got {f}")
+
+
+def _get_int(obj: dict, key: str, path: str, check, default=None) -> int:
     if key not in obj:
         if default is not None:
             return default
@@ -81,8 +88,10 @@ def _get_int(obj: dict, key: str, path: str, minimum: int, default=None) -> int:
         raise SpecError(
             f"{path}.{key}: expected an integer, got {json.dumps(value)}"
         )
-    if value < minimum:
-        raise SpecError(f"{path}.{key}: must be >= {minimum}, got {value}")
+    try:
+        check(value)
+    except ValueError as exc:
+        raise SpecError(f"{path}.{key}: {exc}") from None
     return value
 
 
@@ -102,8 +111,8 @@ def _parse_induced(rep_obj: dict) -> GenericRepresentation:
         path = f"rep.blocks[{i}]"
         block_obj = _as_object(block, path)
         _reject_extra_keys(block_obj, {"n", "conductor"}, path)
-        pairs.append((_get_int(block_obj, "n", path, minimum=1),
-                      _get_int(block_obj, "conductor", path, minimum=0)))
+        pairs.append((_get_int(block_obj, "n", path, check_size),
+                      _get_int(block_obj, "conductor", path, check_conductor)))
     return GenericRepresentation.from_pairs(pairs)
 
 
@@ -116,14 +125,14 @@ class SpecType(NamedTuple):
 
 def _int_fields(build, values, *fields) -> tuple[Callable, Callable]:
     """parse and dump for a representation built from integers: build takes
-    them, values gives them back, and fields holds (JSON key, minimum,
+    them, values gives them back, and fields holds (JSON key, check,
     default) for each, in order. A default of None makes the key required."""
     keys = [key for key, _, _ in fields]
 
     def parse(rep_obj: dict):
         _reject_extra_keys(rep_obj, {"type", *keys}, "rep")
-        return build(*(_get_int(rep_obj, key, "rep", minimum, default)
-                       for key, minimum, default in fields))
+        return build(*(_get_int(rep_obj, key, "rep", check, default)
+                       for key, check, default in fields))
 
     return parse, lambda rep: dict(zip(keys, values(rep)))
 
@@ -136,15 +145,15 @@ SPECS = {
     "principal-series": SpecType(*_int_fields(
         lambda c1, c2: GenericRepresentation.from_pairs([(1, c1), (1, c2)]),
         lambda rep: [b.conductor for b in rep.blocks],
-        ("c1", 0, None), ("c2", 0, None)),
+        ("c1", check_conductor, None), ("c2", check_conductor, None)),
         "principal series closed form", "sum of the two character conductors"),
     "steinberg-twist": SpecType(*_int_fields(
-        SteinbergTwist, lambda rep: (rep.c_chi,), ("c_chi", 0, None)),
+        SteinbergTwist, lambda rep: (rep.c_chi,), ("c_chi", check_conductor, None)),
         "Steinberg twist closed form", None),
     "supercuspidal": SpecType(*_int_fields(
         Supercuspidal, lambda rep: (rep.s, rep.c_chi),
-        ("minimal_conductor", 2, None),
-        ("twist_conductor", 0, 0)),
+        ("minimal_conductor", _check_supercuspidal, None),
+        ("twist_conductor", check_conductor, 0)),
         "supercuspidal closed form",
         "max(minimal_conductor, 2 * twist_conductor)"),
 }
@@ -161,14 +170,8 @@ def parse_spec(data) -> ParsedSpec:
 
     field_obj = _as_object(root["field"], "field")
     _reject_extra_keys(field_obj, {"p", "f"}, "field")
-    p = _get_int(field_obj, "p", "field", minimum=2)
-    f = _get_int(field_obj, "f", "field", minimum=1, default=1)
-    try:
-        prime = is_prime(p)
-    except ValueError as exc:  # p is at or above the cap, which exc states
-        raise SpecError(f"field.p: {exc}") from None
-    if not prime:
-        raise SpecError(f"field.p: must be prime, got {p}")
+    p = _get_int(field_obj, "p", "field", check_prime)  # also p >= PRIME_CAP
+    f = _get_int(field_obj, "f", "field", _check_degree, default=1)
 
     rep_obj = _as_object(root["rep"], "rep")
     rep_type = rep_obj.get("type")

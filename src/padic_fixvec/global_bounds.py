@@ -11,7 +11,7 @@ ground field of rational numbers; number-field generality is out of scope.
 from itertools import count
 from math import gcd, prod
 
-from .finite_ring import check_size, is_prime
+from .finite_ring import check_level, check_size, is_prime
 from .representations import ConductorWindow, Value
 
 MAX_N = 10**18
@@ -115,6 +115,5 @@ def local_conductor_window(n: int, e_p: int) -> ConductorWindow:
     """Conductor exponent range at a prime dividing the level with
     exponent e_p: [max(e_p - 1, 1), e_p * n]."""
     check_size(n)
-    if e_p < 1:
-        raise ValueError(f"need exponent e_p >= 1, got {e_p}")
+    check_level(e_p, 1)  # e_p is the local level at p
     return ConductorWindow(max(e_p - 1, 1), e_p * n)

@@ -1,22 +1,38 @@
 """Input domains: each is refused by one shared check, with one message.
 
 The table holds, for every public function that checks a domain, each
-out-of-domain argument and the exact message it must raise. The source walk
-finds every ValueError whose message states a domain, and requires it to
-be raised inside a shared check.
+out-of-domain argument and the exact message it must raise; a second table
+holds each spec field the CLI reads, refused as "<JSON path>: <message>".
+The source walk finds every ValueError or SpecError whose message states a
+domain, and requires it to be raised inside a shared check.
 """
 
 import ast
+import json
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
 
 from padic_fixvec import representations
 from padic_fixvec.characters import enumerate_unit_dual, num_classes_exact
-from padic_fixvec.cli import _has_fixed_rows, load_spec
+from padic_fixvec.cli import (
+    EXIT_INPUT,
+    SPECS,
+    _has_fixed_rows,
+    load_spec,
+    main,
+    parse_spec,
+    spec_to_dict,
+)
 from padic_fixvec.cosets import parabolic_index_closed, parabolic_index_enumerated
-from padic_fixvec.finite_ring import enumerate_gl, gl_order, parabolic_order
+from padic_fixvec.finite_ring import (
+    PRIME_CAP,
+    enumerate_gl,
+    gl_order,
+    parabolic_order,
+)
 from padic_fixvec.gl2_dims import (
     SteinbergTwist,
     Supercuspidal,
@@ -131,6 +147,8 @@ DOMAIN_REFUSALS = [
      lambda: GlobalLevel(12).conductor_bounds(0), SIZE),
     ("local_conductor_window", "n=0", lambda: local_conductor_window(0, 1),
      SIZE),
+    ("local_conductor_window", "e_p=0", lambda: local_conductor_window(1, 0),
+     LEVEL_1),
     ("cli._has_fixed_rows", "m=-1", lambda: _has_fixed_rows(load_spec(
         '{"field": {"p": 3}, "rep": {"type": "steinberg-twist", "c_chi": 1}}'
     ), -1), LEVEL_0),
@@ -176,11 +194,97 @@ def test_has_fixed_vector_checks_only_the_level(monkeypatch):
     assert calls == ["check_level"]
 
 
+# A valid rep object of each spec type, with two blocks for induced.
+VALID_REPS = {
+    "induced": {"type": "induced", "blocks": [{"n": 1, "conductor": 0},
+                                              {"n": 2, "conductor": 3}]},
+    "principal-series": {"type": "principal-series", "c1": 0, "c2": 1},
+    "steinberg-twist": {"type": "steinberg-twist", "c_chi": 1},
+    "supercuspidal": {"type": "supercuspidal", "minimal_conductor": 3,
+                      "twist_conductor": 1},
+}
+ST = VALID_REPS["steinberg-twist"]
+
+
+def _with_block(i, key, value):
+    blocks = [dict(block) for block in VALID_REPS["induced"]["blocks"]]
+    blocks[i][key] = value
+    return {"type": "induced", "blocks": blocks}
+
+
+def _with(spec_type, key, value):
+    return {**VALID_REPS[spec_type], key: value}
+
+
+# (JSON path, field object, rep object, the one check's exact message): each
+# integer field of each spec type out of its domain, then p and f. p is one
+# check, run in full before f is read, so p = 4 with f = 0 names field.p.
+SPEC_REFUSALS = [
+    ("rep.blocks[0].n", {"p": 3}, _with_block(0, "n", 0), SIZE),
+    ("rep.blocks[1].n", {"p": 3}, _with_block(1, "n", -2),
+     "n must be >= 1, got -2"),
+    ("rep.blocks[0].conductor", {"p": 3}, _with_block(0, "conductor", -1),
+     CONDUCTOR),
+    ("rep.blocks[1].conductor", {"p": 3}, _with_block(1, "conductor", -1),
+     CONDUCTOR),
+    ("rep.c1", {"p": 3}, _with("principal-series", "c1", -1), CONDUCTOR),
+    ("rep.c2", {"p": 3}, _with("principal-series", "c2", -1), CONDUCTOR),
+    ("rep.c_chi", {"p": 3}, _with("steinberg-twist", "c_chi", -1), CONDUCTOR),
+    ("rep.minimal_conductor", {"p": 3},
+     _with("supercuspidal", "minimal_conductor", 1), S),
+    ("rep.minimal_conductor", {"p": 3},
+     _with("supercuspidal", "minimal_conductor", -7),
+     "minimal supercuspidal conductor must be >= 2, got -7"),
+    ("rep.twist_conductor", {"p": 3},
+     _with("supercuspidal", "twist_conductor", -1), CONDUCTOR),
+    ("field.p", {"p": 1}, ST, "p must be prime, got 1"),
+    ("field.p", {"p": 4, "f": 0}, ST, PRIME),
+    ("field.p", {"p": 313 * 317}, ST, "p must be prime, got 99221"),
+    ("field.p", {"p": PRIME_CAP + 2}, ST,
+     f"primality is proven only below {PRIME_CAP}, got {PRIME_CAP + 2}"),
+    ("field.f", {"p": 3, "f": 0}, ST, "residue degree must be >= 1, got 0"),
+    ("field.f", {"p": 3, "f": -5}, ST, "residue degree must be >= 1, got -5"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,field,rep,message",
+    [pytest.param(*row, id=f"{row[0]}={row[3].rsplit(' ', 1)[1]}")
+     for row in SPEC_REFUSALS],
+)
+def test_spec_fields_are_refused_by_the_one_check(capsys, path, field, rep,
+                                                  message):
+    spec = json.dumps({"field": field, "rep": rep})
+    assert main(["min-level", spec]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_spec_refusals_cover_every_integer_field():
+    # The paths of every integer field that spec_to_dict writes back, with
+    # block indices as [i], are the paths of the table.
+    def paths(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from paths(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for item in value:
+                yield from paths(item, f"{path}[i]")
+        elif isinstance(value, int):
+            yield path
+
+    assert set(VALID_REPS) == set(SPECS)
+    written = {path for rep in VALID_REPS.values() for path in paths(
+        spec_to_dict(parse_spec({"field": {"p": 3}, "rep": rep})), "")}
+    assert written == {re.sub(r"\[\d+\]", "[i]", path)
+                       for path, *_ in SPEC_REFUSALS}
+
+
 # The shared checks, and the words that mark a domain refusal's message.
 SHARED_CHECKS = {
     "finite_ring.check_q", "finite_ring.check_level", "finite_ring.check_size",
     "finite_ring.check_conductor", "finite_ring.check_partition",
     "finite_ring.check_prime", "gl2_dims._check_supercuspidal",
+    "cli._check_degree",
 }
 DOMAIN_WORDS = ("must be >=", "must be prime", "must be nonempty")
 
@@ -198,7 +302,8 @@ def _message_text(node: ast.expr) -> str:
 
 def _domain_raises(tree: ast.Module, module: str):
     """(qualified name of the enclosing function, message) of each
-    `raise ValueError(message)` whose message states a domain."""
+    `raise ValueError(message)` or `raise SpecError(message)` whose message
+    states a domain."""
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
@@ -206,7 +311,8 @@ def _domain_raises(tree: ast.Module, module: str):
                 continue
             if (isinstance(child, ast.Raise)
                     and isinstance(child.exc, ast.Call)
-                    and getattr(child.exc.func, "id", None) == "ValueError"
+                    and getattr(child.exc.func, "id", None)
+                    in ("ValueError", "SpecError")
                     and child.exc.args):
                 text = _message_text(child.exc.args[0])
                 if any(word in text for word in DOMAIN_WORDS):
@@ -219,8 +325,6 @@ def _domain_raises(tree: ast.Module, module: str):
 def test_domain_refusals_are_raised_only_by_the_shared_checks():
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "cli.py":  # its spec refusals name a JSON path
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += _domain_raises(tree, path.stem)
     where = [function for function, _ in found]

@@ -91,9 +91,9 @@ def test_local_field_params():
     parsed = field({"p": 3, "f": 2})
     assert (parsed.p, parsed.f, _printable_q(parsed)) == (3, 2, 9)
     assert field({"p": 5}).f == 1
-    with pytest.raises(SpecError, match="field.p: must be prime, got 4"):
+    with pytest.raises(SpecError, match="field.p: p must be prime, got 4"):
         field({"p": 4})
-    with pytest.raises(SpecError, match="field.f: must be >= 1, got 0"):
+    with pytest.raises(SpecError, match="field.f: residue degree must be >= 1, got 0"):
         field({"p": 3, "f": 0})
 
 
@@ -299,6 +299,15 @@ def test_parabolic_rows_budget_bounds_the_whole_enumeration():
     with pytest.raises(BudgetExceededError) as info:
         next(_enumerate_parabolic_rows((1, 1, 1, 1), 3, 2, budget=1000))
     assert (info.value.required, info.value.budget) == (3 ** 20, 1000)
+
+
+@pytest.mark.parametrize("budget", [True, 1.5, 0, -1])
+def test_an_explicit_budget_must_be_a_positive_int(budget):
+    # True is an int equal to 1, so only the bool test refuses it.
+    with pytest.raises(ValueError) as info:
+        next(enumerate_gl(1, 2, 1, budget=budget))
+    assert str(info.value) == (
+        f"budget must be an integer >= 1, got {budget!r}")
 
 
 # The verify cosets suite counts through the helpers that build the streams,
