@@ -25,11 +25,12 @@ case and returns a failure detail, or a false value when its identity
 holds. A suite's runner gives SuiteReport.check, the only writer of checks
 and notes, each distinct cases object once, so rows that hold the same
 stream share one pass over it; the checks are then reported in table
-order. Building the table runs no case: a stream that needs the package's
-objects is a generator. Cases that exceed the enumeration budget are
-recorded as notes, not failures. A check that runs no instance at all
-fails, so no suite passes vacuously. The acceptance tests in
-tests/test_acceptance.py read these checks by name.
+order. Rows that read the same values share a memo made per _checks call,
+so a pass computes each GL_2 dimension once. Building the table runs no
+case: a stream that needs the package's objects is a generator. Cases
+that exceed the enumeration budget are recorded as notes, not failures. A
+check that runs no instance at all fails, so no suite passes vacuously.
+The acceptance tests in tests/test_acceptance.py read these checks by name.
 """
 
 import functools
@@ -155,17 +156,19 @@ def _twist_cases():
         yield q, s, c_chi, m
 
 
-def _gl2_reps_by_q(*levels):
-    """(q, rep, *level) over the supercuspidals, principal series and
+def _gl2_reps(supercuspidal) -> list[representations.Representation]:
+    """The supercuspidals supercuspidal(s, c_chi), principal series and
     Steinberg twists that the monotonicity and vanishing checks test."""
-    reps: list[representations.Representation] = [
-        gl2_dims.Supercuspidal(s, c_chi)
-        for s in range(2, 9) for c_chi in range(0, 7)
-    ]
+    reps = [supercuspidal(s, c_chi)
+            for s in range(2, 9) for c_chi in range(0, 7)]
     reps += [_principal_series(c1, c2)
              for c1 in range(0, 7) for c2 in range(0, 7)]
-    reps += [gl2_dims.SteinbergTwist(c) for c in range(0, 7)]
-    yield from itertools.product((2, 3, 4, 5, 7), reps, *levels)
+    return reps + [gl2_dims.SteinbergTwist(c) for c in range(0, 7)]
+
+
+def _gl2_reps_by_q(reps, *levels):
+    """(q, rep, *level) over the list reps(), built when the stream starts."""
+    yield from itertools.product((2, 3, 4, 5, 7), reps(), *levels)
 
 
 def _kirillov_materialized(q: int, s: int, c_psi: int, r: int) -> str | None:
@@ -195,18 +198,8 @@ def _minimal_level_dim(q: int, s: int) -> str | None:
     return _differ(gl2_dims.dim_supercuspidal_minimal(q, s, m), expected)
 
 
-def _nondecreasing(q: int, rep) -> str | None:
-    dims = [rep.dim(q, m) for m in range(0, 9)]
-    return dims != sorted(dims) and str(dims)
-
-
 def _principal_series(c1: int, c2: int):
     return representations.GenericRepresentation.from_pairs([(1, c1), (1, c2)])
-
-
-def _vanishes_below_conductor(q: int, s: int, c_chi: int, m: int) -> str | None:
-    rep = gl2_dims.Supercuspidal(s, c_chi)
-    return _differ(rep.dim(q, m) > 0, rep.conductor() <= 2 * m)
 
 
 def _blocks(max_n: int, max_c: int) -> dict:
@@ -256,9 +249,12 @@ def _with_min_level(reps):
 def _least_level(rep, least: int) -> str | None:
     """has_fixed_vector, which never reads min_level, turns true exactly at
     min_level: compared at every level from 0 to max(6, min_level)."""
+    has_fixed_vector = representations.has_fixed_vector
     levels = range(max(6, least) + 1)
-    found = [representations.has_fixed_vector(rep, m) for m in levels]
-    return _differ(found, [m >= least for m in levels])
+    for m in levels:
+        if has_fixed_vector(rep, m) != (m >= least):
+            found = [has_fixed_vector(rep, k) for k in levels]
+            return _differ(found, [k >= least for k in levels])
 
 
 def _in_window(rep, least: int, square_integrable=False) -> str | None:
@@ -327,6 +323,12 @@ def _checks(budget: int | None) -> list[tuple]:
     induced = _with_min_level(_all_induced_reps(4, 8))
     # The two twist-grid rows hold this one stream, so they share one pass.
     twists = _twist_cases()
+    # They and the two _gl2_reps_by_q rows read one memo of dimensions. Its
+    # reps are built once each, so a lookup finds its key by identity.
+    supercuspidal = functools.cache(gl2_dims.Supercuspidal)
+    gl2_reps = functools.cache(lambda: _gl2_reps(supercuspidal))
+    dims = functools.cache(lambda q, rep: [rep.dim(q, m) for m in range(9)])
+    lattice = functools.cache(gl2_dims.dim_supercuspidal_lattice)
     exponents = _LocalExponents()
     # The two unit-dual rows share one build per (p, r) in this table.
     dual = functools.lru_cache(
@@ -406,7 +408,7 @@ def _checks(budget: int | None) -> list[tuple]:
          ((q, s, m) for q, s in GL2_GRID for m in range(-(-s // 2), 9)),
          lambda q, s, m: _differ(
              gl2_dims.dim_supercuspidal_minimal(q, s, m),
-             gl2_dims.dim_supercuspidal_lattice(q, s, m),
+             lattice(q, s, m),
              gl2_dims.kirillov_basis_count(q, s, 0, m),
          )),
         ("supercuspidal",
@@ -421,9 +423,9 @@ def _checks(budget: int | None) -> list[tuple]:
          "twisting is invisible once the level passes the twisted conductor",
          twists,
          lambda q, s, c_chi, m: _differ(
-             gl2_dims.Supercuspidal(s, c_chi).dim(q, m),
+             dims(q, supercuspidal(s, c_chi))[m],
              # False at m = 0, which the lattice sum rejects.
-             gl2_dims.dim_supercuspidal_lattice(q, s, m)
+             lattice(q, s, m)
              if gl2_dims.twisted_conductor_minimal(s, c_chi) <= 2 * m
              else 0,
          )),
@@ -435,14 +437,18 @@ def _checks(budget: int | None) -> list[tuple]:
              (c <= r) + gl2_dims.SteinbergTwist(c).dim(q, r),
          )),
         ("supercuspidal", "dimension is nondecreasing in the level",
-         _gl2_reps_by_q(), _nondecreasing),
+         _gl2_reps_by_q(gl2_reps),
+         lambda q, rep: dims(q, rep) != sorted(dims(q, rep))
+         and str(dims(q, rep))),
         ("supercuspidal",
          "positive dimension exactly when the level is >= min_level",
-         _gl2_reps_by_q(range(0, 9)),
-         lambda q, rep, m: _differ(rep.dim(q, m) > 0, m >= rep.min_level())),
+         _gl2_reps_by_q(gl2_reps, range(0, 9)),
+         lambda q, rep, m: _differ(dims(q, rep)[m] > 0, m >= rep.min_level())),
         ("supercuspidal",
          "positive dimension exactly when conductor <= 2 * level",
-         twists, _vanishes_below_conductor),
+         twists, lambda q, s, c_chi, m: _differ(
+             dims(q, supercuspidal(s, c_chi))[m] > 0,
+             supercuspidal(s, c_chi).conductor() <= 2 * m)),
         ("supercuspidal",
          "unramified principal series dimension equals the coset count",
          [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)],
@@ -473,7 +479,7 @@ def _checks(budget: int | None) -> list[tuple]:
         ("windows",
          "local windows compose to products inside the global bounds",
          _global_bounds_cases(),
-         lambda *case: _bounds_hold(*case, exponents)),
+         functools.partial(_bounds_hold, exponents=exponents)),
     ]
 
 

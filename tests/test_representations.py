@@ -257,6 +257,22 @@ def test_min_level_matches_brute_force_small():
             assert not has_fixed_vector(pi, ml - 1)
 
 
+def test_block_loops_match_their_reductions():
+    # n, conductor() and min_level() loop over the blocks. sum() and max()
+    # are the reference, on every block list of total size <= 4 whose
+    # conductors are <= 5.
+    sizes = [ns for k in range(1, 5)
+             for ns in itertools.product(range(1, 5), repeat=k) if sum(ns) <= 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImplausibleConductorWarning)
+        for ns in sizes:
+            for cs in itertools.product(range(0, 6), repeat=len(ns)):
+                pi = rep(*zip(ns, cs))
+                assert pi.n == sum(ns)
+                assert pi.conductor() == sum(cs)
+                assert pi.min_level() == max(-(-c // n) for n, c in zip(ns, cs))
+
+
 def _golden_reps():
     """The distinct representations in the golden CLI file's valid specs."""
     path = Path(__file__).parent / "data" / "cli_golden.json"

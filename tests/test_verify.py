@@ -1,11 +1,18 @@
 import itertools
 import math
 import pathlib
+from collections import Counter
 
-from padic_fixvec import global_bounds, verify
+import pytest
+
+from padic_fixvec import gl2_dims, global_bounds, representations, verify
 from padic_fixvec.budget import BudgetExceededError
 from padic_fixvec.cli import main
-from padic_fixvec.representations import ConductorWindow
+from padic_fixvec.representations import (
+    ConductorWindow,
+    GenericRepresentation,
+    Representation,
+)
 from padic_fixvec.verify import (
     MAX_FAILURE_DETAILS,
     SUITES,
@@ -355,3 +362,125 @@ def test_verify_json_at_the_default_budget_is_golden(capsys):
     #   padic-fixvec verify --suite all --json > <the file>
     assert main(["verify", "--suite", "all", "--json"]) == 0
     assert capsys.readouterr().out.encode() == VERIFY_DEFAULT.read_bytes()
+
+
+def _count_calls(monkeypatch, owner, name: str, calls: Counter) -> None:
+    """Rebind owner.name, as bench/spans.py rebinds what it traces, to a
+    wrapper that counts each call in calls[name]."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_run_all_makes_each_subject_call_it_checks(monkeypatch):
+    # A faster pass must still call every subject once per case: these are
+    # the calls of one default-budget run_all, counted through the same
+    # module and class attributes that bench/spans.py rebinds.
+    calls: Counter = Counter()
+    for owner, name in [(global_bounds, "factorize"),
+                        (global_bounds.GlobalLevel, "conductor_bounds"),
+                        (representations, "has_fixed_vector"),
+                        (representations, "conductor_window")]:
+        _count_calls(monkeypatch, owner, name, calls)
+    assert all(r.passed for r in run_all())
+    assert calls == {"factorize": 10_001, "conductor_bounds": 40_001,
+                     "has_fixed_vector": 79_334, "conductor_window": 10_035}
+
+
+SHARED_DIMENSION_ROWS = (
+    "twisting is invisible once the level passes the twisted conductor",
+    "dimension is nondecreasing in the level",
+    "positive dimension exactly when the level is >= min_level",
+    "positive dimension exactly when conductor <= 2 * level",
+)
+
+
+def test_shared_dimension_rows_compute_each_dimension_once(monkeypatch):
+    # The four supercuspidal rows that read GL_2 dimensions, run alone,
+    # call Representation.dim once per distinct (q, rep, m) they check.
+    rows = verify._checks
+
+    monkeypatch.setattr(verify, "_checks", lambda budget: [
+        row for row in rows(budget) if row[1] in SHARED_DIMENSION_ROWS])
+    seen: Counter = Counter()
+    real = Representation.dim
+
+    def dim(rep, q, m):
+        seen[q, rep, m] += 1
+        return real(rep, q, m)
+
+    monkeypatch.setattr(Representation, "dim", dim)
+    report = SUITES["supercuspidal"]()
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+        (name, True, f"{n} instances")
+        for name, n in zip(SHARED_DIMENSION_ROWS, (2205, 525, 4725, 2205))
+    ]
+    reps = [gl2_dims.Supercuspidal(s, c) for s in range(2, 9) for c in range(7)]
+    reps += [GenericRepresentation.from_pairs([(1, c1), (1, c2)])
+             for c1 in range(7) for c2 in range(7)]
+    reps += [gl2_dims.SteinbergTwist(c) for c in range(7)]
+    assert seen == dict.fromkeys(
+        itertools.product((2, 3, 4, 5, 7), reps, range(9)), 1)
+
+
+def _reports(reports) -> list:
+    return [(r.suite, r.checks, r.notes) for r in reports]
+
+
+@pytest.mark.parametrize("budget", [None, 1000])
+def test_suites_run_alone_match_run_all(budget):
+    # No memo outlives its pass: each suite run alone, in reverse order,
+    # reports what it reports inside run_all, and so does a second run_all.
+    together = _reports(run_all(budget))
+    alone = [SUITES[name](budget) for name in reversed(SUITES)]
+    assert _reports(reversed(alone)) == together
+    assert _reports(run_all(budget)) == together
+
+
+def _failed_details(report) -> dict:
+    return {c.name: c.detail for c in report.checks if not c.ok}
+
+
+def test_least_level_failure_lists_every_level(monkeypatch):
+    # has_fixed_vector rigged to turn true one level early, on one rep of
+    # least level 2: the detail lists the levels 0..6 both ways.
+    rep = GenericRepresentation.from_pairs([(1, 2), (1, 1)])
+    monkeypatch.setattr(verify, "_all_induced_reps", lambda *_: iter([rep]))
+    real = representations.has_fixed_vector
+    monkeypatch.setattr(representations, "has_fixed_vector",
+                        lambda rep, m: real(rep, m + 1))
+    failed = _failed_details(SUITES["windows"]())
+    assert failed["min_level is the least level with a fixed vector"] == (
+        f"{(rep, 2)}: [False, True, True, True, True, True, True]"
+        " != [False, False, True, True, True, True, True]")
+    assert set(failed) == {
+        "min_level is the least level with a fixed vector",
+        "conductor criterion agrees with depth criterion",
+    }
+
+
+def test_shared_dimension_failures_name_their_case(monkeypatch):
+    # One supercuspidal dimension off by one: Supercuspidal(3).dim(2, 0) is
+    # 1, not 0. Each row that reads it names that one case, as it did when
+    # each row computed its own dimensions.
+    real = Representation.dim
+
+    def rigged(rep, q, m):
+        return real(rep, q, m) + ((q, rep.s, rep.c_chi, m) == (2, 3, 0, 0))
+
+    monkeypatch.setattr(gl2_dims.Supercuspidal, "dim", rigged)
+    rep = gl2_dims.Supercuspidal(3, 0)
+    assert _failed_details(SUITES["supercuspidal"]()) == {
+        "twisting is invisible once the level passes the twisted conductor":
+            "(2, 3, 0, 0): 1 != 0",
+        "dimension is nondecreasing in the level":
+            f"{(2, rep)}: [1, 0, 3, 9, 21, 45, 93, 189, 381]",
+        "positive dimension exactly when the level is >= min_level":
+            f"{(2, rep, 0)}: True != False",
+        "positive dimension exactly when conductor <= 2 * level":
+            "(2, 3, 0, 0): True != False",
+    }
