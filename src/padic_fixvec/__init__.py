@@ -11,7 +11,7 @@ Helpers that are not exported stay importable from their modules.
 from .budget import BudgetExceededError, parse_budget
 from .characters import enumerate_unit_dual, num_classes_exact
 from .cosets import parabolic_index_closed, parabolic_index_enumerated
-from .finite_ring import enumerate_gl, gl_order, parabolic_order
+from .finite_ring import FieldError, enumerate_gl, gl_order, parabolic_order
 from .gl2_dims import (
     SteinbergTwist,
     Supercuspidal,
@@ -24,7 +24,6 @@ from .global_bounds import GlobalLevel, local_conductor_window
 from .representations import (
     ConductorWindow,
     GenericRepresentation,
-    ImplausibleConductorWarning,
     Representation,
     SquareIntegrableBlock,
     conductor_window,
@@ -37,9 +36,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "ConductorWindow",
+    "FieldError",
     "GenericRepresentation",
     "GlobalLevel",
-    "ImplausibleConductorWarning",
     "Representation",
     "SquareIntegrableBlock",
     "SteinbergTwist",

@@ -19,8 +19,9 @@ guard reads the dimension's lower bound q**rep.dim_exponent(m) from it.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 
-Spec schema. The library's one check of each field's domain refuses it, as
-"<JSON path>: <its message>"; f, which only the CLI takes, by _check_degree::
+Spec schema. A field is refused as "<JSON path>: <message>" by its one check:
+a "rep" field by its constructor, once its object's types are all read; p by
+check_prime and f, which only the CLI takes, by _check_degree::
 
     {
       "field": {"p": <prime>, "f": <residue degree, default 1>},
@@ -38,15 +39,14 @@ import itertools
 import json
 import os
 import sys
-import warnings
 from typing import Callable, Iterable, NamedTuple
 
 from .budget import parse_budget
-from .finite_ring import check_conductor, check_level, check_prime, check_size
-from .gl2_dims import (SteinbergTwist, Supercuspidal, _check_supercuspidal,
-                       kirillov_groups)
+from .finite_ring import FieldError, check_level, check_prime
+from .gl2_dims import SteinbergTwist, Supercuspidal, kirillov_groups
 from .global_bounds import GlobalLevel, local_conductor_window
-from .representations import GenericRepresentation, Representation
+from .representations import (GenericRepresentation, Representation,
+                              SquareIntegrableBlock)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -78,7 +78,7 @@ def _check_degree(f: int) -> None:
         raise ValueError(f"residue degree must be >= 1, got {f}")
 
 
-def _get_int(obj: dict, key: str, path: str, check, default=None) -> int:
+def _get_int(obj: dict, key: str, path: str, check=None, default=None) -> int:
     if key not in obj:
         if default is not None:
             return default
@@ -88,10 +88,11 @@ def _get_int(obj: dict, key: str, path: str, check, default=None) -> int:
         raise SpecError(
             f"{path}.{key}: expected an integer, got {json.dumps(value)}"
         )
-    try:
-        check(value)
-    except ValueError as exc:
-        raise SpecError(f"{path}.{key}: {exc}") from None
+    if check is not None:
+        try:
+            check(value)
+        except ValueError as exc:
+            raise SpecError(f"{path}.{key}: {exc}") from None
     return value
 
 
@@ -101,19 +102,29 @@ def _reject_extra_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise SpecError(f"{path}: unexpected key(s) {', '.join(extra)}")
 
 
+def _built(obj: dict, path: str, build, fields, allowed=()):
+    """build(*the integers of obj at path), all read before build checks any:
+    fields holds (JSON key, build's slot, default) for each, in order, and a
+    default of None makes the key required. A refused slot names its key."""
+    keys = {slot: key for key, slot, _ in fields}
+    _reject_extra_keys(obj, {*allowed, *keys.values()}, path)
+    values = [_get_int(obj, key, path, default=default) for key, _, default in fields]
+    try:
+        return build(*values)
+    except FieldError as exc:
+        raise SpecError(f"{path}.{keys[exc.field]}: {exc}") from None
+
+
 def _parse_induced(rep_obj: dict) -> GenericRepresentation:
     _reject_extra_keys(rep_obj, {"type", "blocks"}, "rep")
     blocks = rep_obj.get("blocks")
     if not isinstance(blocks, list) or not blocks:
         raise SpecError("rep.blocks: expected a nonempty array")
-    pairs = []
-    for i, block in enumerate(blocks):
-        path = f"rep.blocks[{i}]"
-        block_obj = _as_object(block, path)
-        _reject_extra_keys(block_obj, {"n", "conductor"}, path)
-        pairs.append((_get_int(block_obj, "n", path, check_size),
-                      _get_int(block_obj, "conductor", path, check_conductor)))
-    return GenericRepresentation.from_pairs(pairs)
+    fields = [("n", "n", None), ("conductor", "conductor", None)]
+    paths = [f"rep.blocks[{i}]" for i in range(len(blocks))]
+    return GenericRepresentation([  # a list: each block is built once read
+        _built(_as_object(block, path), path, SquareIntegrableBlock, fields)
+        for block, path in zip(blocks, paths)])
 
 
 class SpecType(NamedTuple):
@@ -124,17 +135,10 @@ class SpecType(NamedTuple):
 
 
 def _int_fields(build, values, *fields) -> tuple[Callable, Callable]:
-    """parse and dump for a representation built from integers: build takes
-    them, values gives them back, and fields holds (JSON key, check,
-    default) for each, in order. A default of None makes the key required."""
+    """parse and dump for build's integer fields (see _built), given back by values."""
     keys = [key for key, _, _ in fields]
-
-    def parse(rep_obj: dict):
-        _reject_extra_keys(rep_obj, {"type", *keys}, "rep")
-        return build(*(_get_int(rep_obj, key, "rep", check, default)
-                       for key, check, default in fields))
-
-    return parse, lambda rep: dict(zip(keys, values(rep)))
+    return (lambda rep_obj: _built(rep_obj, "rep", build, fields, {"type"}),
+            lambda rep: dict(zip(keys, values(rep))))
 
 
 SPECS = {
@@ -142,18 +146,18 @@ SPECS = {
         {"n": b.n, "conductor": b.conductor} for b in rep.blocks]},
         "induced from characters: coset index times indicators",
         "sum of block conductors"),
-    "principal-series": SpecType(*_int_fields(
-        lambda c1, c2: GenericRepresentation.from_pairs([(1, c1), (1, c2)]),
+    "principal-series": SpecType(*_int_fields(  # each block refused as its key
+        lambda c1, c2: GenericRepresentation([FieldError.check(
+            key, SquareIntegrableBlock, 1, c) for key, c in (("c1", c1), ("c2", c2))]),
         lambda rep: [b.conductor for b in rep.blocks],
-        ("c1", check_conductor, None), ("c2", check_conductor, None)),
+        ("c1", "c1", None), ("c2", "c2", None)),
         "principal series closed form", "sum of the two character conductors"),
     "steinberg-twist": SpecType(*_int_fields(
-        SteinbergTwist, lambda rep: (rep.c_chi,), ("c_chi", check_conductor, None)),
+        SteinbergTwist, lambda rep: (rep.c_chi,), ("c_chi", "c_chi", None)),
         "Steinberg twist closed form", None),
     "supercuspidal": SpecType(*_int_fields(
         Supercuspidal, lambda rep: (rep.s, rep.c_chi),
-        ("minimal_conductor", _check_supercuspidal, None),
-        ("twist_conductor", check_conductor, 0)),
+        ("minimal_conductor", "s", None), ("twist_conductor", "c_chi", 0)),
         "supercuspidal closed form",
         "max(minimal_conductor, 2 * twist_conductor)"),
 }
@@ -487,26 +491,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        # A library warning is one line, not the location that raised it,
-        # and never an error, whatever -W or PYTHONWARNINGS asks.
-        warnings.simplefilter("default")
-        warnings.showwarning = lambda message, *_: print(
-            f"warning: {message}", file=sys.stderr)
-        try:
-            if "spec" in args:
-                args.spec = load_spec(args.spec)
-            code = (_print_json(spec_to_dict(args.spec))
-                    if getattr(args, "emit_spec", False) else args.func(args))
-            sys.stdout.flush()  # a closed stdout raises here, not at exit
-            return code
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        except BrokenPipeError:
-            # The reader has gone: the exit-time flush writes to nothing.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return EXIT_INPUT
+    try:
+        if "spec" in args:
+            args.spec = load_spec(args.spec)
+        code = (_print_json(spec_to_dict(args.spec))
+                if getattr(args, "emit_spec", False) else args.func(args))
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader has gone: the exit-time flush writes to nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

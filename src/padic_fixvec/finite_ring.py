@@ -15,8 +15,8 @@ included, passes budget.require before it builds any candidate.
 
 Every module imports this one, so it holds the one check of each input
 domain, with one message: check_q (q >= 2), check_level (m >= 0, or m >= 1
-over Z/p^m), check_size (n >= 1), check_conductor (c >= 0), check_partition
-(nonempty, parts >= 1) and check_prime.
+over Z/p^m), check_size (n >= 1), check_conductor (c >= 0), check_block
+(c >= n - 1), check_partition (nonempty, parts >= 1) and check_prime.
 """
 
 from itertools import accumulate, product
@@ -86,6 +86,13 @@ def check_conductor(c: int) -> None:
         raise ValueError(f"conductor must be >= 0, got {c}")
 
 
+def check_block(n: int, c: int) -> None:
+    """A block of GL_n, essentially square integrable, has c >= n - 1."""
+    check_conductor(c)
+    if c < n - 1:
+        raise ValueError(f"conductor of a GL_{n} block must be >= {n - 1}, got {c}")
+
+
 def check_partition(partition: Sequence[int]) -> None:
     if not partition or min(partition) < 1:
         raise ValueError("partition must be nonempty with parts >= 1,"
@@ -95,6 +102,21 @@ def check_partition(partition: Sequence[int]) -> None:
 def check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+
+
+class FieldError(ValueError):
+    """A constructor's refusal of one argument, raised by FieldError.check:
+    .field names its slot, and the message is the refusing check's."""
+
+    @classmethod
+    def check(cls, field: str, check, *args):
+        """check(*args), its refusal raised as a FieldError naming field."""
+        try:
+            return check(*args)
+        except ValueError as exc:
+            error = cls(str(exc))
+            error.field = field
+            raise error from None
 
 
 def above_blocks(partition: Sequence[int]) -> int:

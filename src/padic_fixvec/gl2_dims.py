@@ -20,7 +20,7 @@ conductor meets a twisting character in c = max(s, 2*c_chi).
 from typing import TYPE_CHECKING, Iterator
 
 from .characters import num_classes_exact
-from .finite_ring import check_conductor, check_level, check_q
+from .finite_ring import FieldError, check_conductor, check_level, check_q
 from .representations import Representation, depth_esi
 
 if TYPE_CHECKING:
@@ -33,7 +33,7 @@ class SteinbergTwist(Representation):
     __slots__ = ("c_chi",)
 
     def __init__(self, c_chi: int):
-        check_conductor(c_chi)
+        FieldError.check("c_chi", check_conductor, c_chi)
         object.__setattr__(self, "c_chi", c_chi)
 
     def conductor(self) -> int:
@@ -63,7 +63,8 @@ class Supercuspidal(Representation):
     __slots__ = ("s", "c_chi")
 
     def __init__(self, s: int, c_chi: int = 0):
-        _check_supercuspidal(s, c_chi)
+        FieldError.check("s", _check_supercuspidal, s)
+        FieldError.check("c_chi", check_conductor, c_chi)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "c_chi", c_chi)
 
@@ -84,17 +85,17 @@ class Supercuspidal(Representation):
         return m - 2
 
 
-def _check_supercuspidal(s: int, c_chi: int = 0) -> None:
-    """The one check of a minimal conductor, s >= 2; then c_chi >= 0."""
+def _check_supercuspidal(s: int) -> None:
+    """The one check of a minimal conductor, s >= 2."""
     if s < 2:
         raise ValueError(f"minimal supercuspidal conductor must be >= 2, got {s}")
-    check_conductor(c_chi)
 
 
 def twisted_conductor_minimal(s: int, c_chi: int) -> int:
     """Conductor of (minimal supercuspidal of conductor s) twisted by a
     quasi-character of conductor c_chi: s if 2*c_chi <= s, else 2*c_chi."""
-    _check_supercuspidal(s, c_chi)
+    _check_supercuspidal(s)
+    check_conductor(c_chi)
     return s if 2 * c_chi <= s else 2 * c_chi
 
 

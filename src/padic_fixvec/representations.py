@@ -16,12 +16,12 @@ min_level() and gives each type's closed form only from there on. A depth
 imports fractions where it builds one, so no other query loads it.
 """
 
-import warnings
 from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .cosets import parabolic_index_closed
-from .finite_ring import above_blocks, check_conductor, check_level, check_q, check_size
+from .finite_ring import (FieldError, above_blocks, check_block, check_conductor,
+                          check_level, check_q, check_size)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -89,27 +89,16 @@ class Representation(Value):
         the size of the dimension, known before it is computed."""
 
 
-class ImplausibleConductorWarning(UserWarning):
-    """A square-integrable block of size >= 2 was given conductor 0."""
-
-
 class SquareIntegrableBlock(Value):
-    """One essentially square integrable block: a GL_n factor with its conductor."""
+    """One essentially square integrable block: GL_n with its conductor c >= n - 1."""
 
     __slots__ = ("n", "conductor")
 
     def __init__(self, n: int, conductor: int):
-        check_size(n)
-        check_conductor(conductor)
+        FieldError.check("n", check_size, n)
+        FieldError.check("conductor", check_block, n, conductor)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "conductor", conductor)
-        if n >= 2 and conductor == 0:
-            warnings.warn(
-                f"block GL_{n} with conductor 0 is implausible for a "
-                "square-integrable factor; accepted anyway",
-                ImplausibleConductorWarning,
-                stacklevel=2,
-            )
 
 
 class GenericRepresentation(Representation):

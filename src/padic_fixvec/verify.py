@@ -37,7 +37,6 @@ import functools
 import itertools
 import math
 import random
-import warnings
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -203,34 +202,25 @@ def _principal_series(c1: int, c2: int):
 
 
 def _blocks(max_n: int, max_c: int) -> dict:
-    """SquareIntegrableBlock(n, c) by (n, c), for n <= max_n and c <= max_c.
-    The windows grids test the implausible blocks of size >= 2 and
-    conductor 0 on purpose, so their warning is not shown."""
-    with warnings.catch_warnings():
-        warnings.simplefilter(
-            "ignore", representations.ImplausibleConductorWarning
-        )
-        return {
-            (n, c): representations.SquareIntegrableBlock(n, c)
-            for n in range(1, max_n + 1) for c in range(0, max_c + 1)
-        }
+    """The blocks SquareIntegrableBlock(n, c) of each size n <= max_n, for the
+    max_c + 1 conductors c from n - 1, the least a block of GL_n has."""
+    return {n: [representations.SquareIntegrableBlock(n, c)
+                for c in range(n - 1, n + max_c)] for n in range(1, max_n + 1)}
 
 
 def _single_block_reps(max_n: int, max_c: int):
     """Each block of _blocks(max_n, max_c) as a representation of its own."""
-    for block in _blocks(max_n, max_c).values():
+    for block in itertools.chain(*_blocks(max_n, max_c).values()):
         yield representations.GenericRepresentation((block,))
 
 
 def _all_induced_reps(max_n: int, max_c: int):
     """Every ordered block decomposition with sizes summing to <= max_n and
-    block conductors in [0, max_c]. The reps share their (immutable)
-    blocks, in the tuples that itertools.product builds from each size's
-    blocks in ascending conductor, which makes the stream cheap to
-    generate."""
-    blocks = _blocks(max_n, max_c)
-    by_size = {n: [blocks[n, c] for c in range(0, max_c + 1)]
-               for n in range(1, max_n + 1)}
+    the conductors of a size-n block in [n - 1, n - 1 + max_c]. The reps
+    share their (immutable) blocks, in the tuples that itertools.product
+    builds from each size's blocks in ascending conductor, which makes the
+    stream cheap to generate."""
+    by_size = _blocks(max_n, max_c)
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             for sizes in itertools.product(range(1, n + 1), repeat=k):

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import pytest
@@ -513,21 +512,15 @@ def test_deeply_nested_spec_is_invalid_json(capsys):
                      "spec: invalid JSON (")
 
 
-def test_library_warning_is_one_line(capsys):
+def test_block_below_its_least_conductor_is_refused(capsys):
+    # A block of GL_n has conductor >= n - 1. One below is no block: every
+    # command refuses it with exit 1, no answer and one line on stderr.
     spec = _spec(3, {"type": "induced", "blocks": [{"n": 2, "conductor": 0}]})
-    assert main(["conductor", spec]) == EXIT_OK
-    out, err = capsys.readouterr()
-    assert out.startswith("conductor   0\n")
-    assert err == ("warning: block GL_2 with conductor 0 is implausible for a"
-                   " square-integrable factor; accepted anyway\n")
-    # -W error or PYTHONWARNINGS=error leaves the answer and the exit code.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["min-level", spec]) == EXIT_OK
-    out, err = capsys.readouterr()
-    assert out.startswith("min_level  0\n")
-    assert err.startswith("warning: block GL_2 with conductor 0") and (
-        err.count("\n") == 1)
+    for command in ("conductor", "min-level", "depth"):
+        assert main([command, spec]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: rep.blocks[0].conductor:"
+                                       " conductor of a GL_2 block must be"
+                                       " >= 1, got 0\n")
 
 
 def test_a_directory_is_not_a_spec_file(capsys, tmp_path):

@@ -11,6 +11,7 @@ import ast
 import json
 import pathlib
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,8 @@ CONDUCTOR = "conductor must be >= 0, got -1"
 PRIME = "p must be prime, got 4"
 Q = "q must be >= 2, got 1"
 S = "minimal supercuspidal conductor must be >= 2, got 1"
+BLOCK_2 = "conductor of a GL_2 block must be >= 1, got 0"
+BLOCK_3 = "conductor of a GL_3 block must be >= 2, got 1"
 
 
 def partition(parts) -> str:
@@ -135,6 +138,10 @@ DOMAIN_REFUSALS = [
      SIZE),
     ("SquareIntegrableBlock", "conductor=-1",
      lambda: SquareIntegrableBlock(1, -1), CONDUCTOR),
+    ("SquareIntegrableBlock", "n=2, conductor=0",
+     lambda: SquareIntegrableBlock(2, 0), BLOCK_2),
+    ("SquareIntegrableBlock", "n=3, conductor=1",
+     lambda: SquareIntegrableBlock(3, 1), BLOCK_3),
     ("depth_esi", "n=0", lambda: depth_esi(0, 0), SIZE),
     ("depth_esi", "c=-1", lambda: depth_esi(1, -1), CONDUCTOR),
     ("has_fixed_vector_depth", "m=0",
@@ -160,6 +167,8 @@ DOMAIN_REFUSALS = [
      lambda: parabolic_index_closed((), 1, 0), LEVEL_1),
     ("dim_supercuspidal_minimal", "q=1, s=1, m=-1",
      lambda: dim_supercuspidal_minimal(1, 1, -1), Q),
+    ("SquareIntegrableBlock", "n=3, conductor=-1",
+     lambda: SquareIntegrableBlock(3, -1), CONDUCTOR),
 ]
 
 
@@ -206,6 +215,47 @@ VALID_REPS = {
 ST = VALID_REPS["steinberg-twist"]
 
 
+# The checks that load_spec runs on VALID_REPS, after field.p's, in order:
+# one per "rep" field, run by the constructor that takes it and never by the
+# CLI. A principal series is two GL_1 blocks, whose size 1 is checked too.
+FIELD_CHECKS = {
+    "induced": ["check_size", "check_block"] * 2,
+    "principal-series": ["check_size", "check_block"] * 2,
+    "steinberg-twist": ["check_conductor"],
+    "supercuspidal": ["_check_supercuspidal", "check_conductor"],
+}
+
+
+def _is_check(code) -> bool:
+    return (code.co_name.startswith(("check_", "_check_"))
+            and pathlib.Path(code.co_filename).parent == SRC)
+
+
+@pytest.mark.parametrize("spec_type", FIELD_CHECKS)
+def test_each_spec_field_is_checked_once(spec_type):
+    # A profiler sees every call of a check, even through a reference that a
+    # table holds. A check called by another (check_block runs
+    # check_conductor) is part of it, so only outermost calls are counted.
+    calls = []
+
+    def profile(frame, event, _):
+        if (event == "call" and _is_check(frame.f_code)
+                and not _is_check(frame.f_back.f_code)):
+            calls.append(frame.f_code.co_name)
+
+    spec = json.dumps({"field": {"p": 3}, "rep": VALID_REPS[spec_type]})
+    sys.setprofile(profile)
+    try:
+        load_spec(spec)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["check_prime", *FIELD_CHECKS[spec_type]]
+
+
+def test_field_checks_cover_every_spec_type():
+    assert set(FIELD_CHECKS) == set(SPECS)
+
+
 def _with_block(i, key, value):
     blocks = [dict(block) for block in VALID_REPS["induced"]["blocks"]]
     blocks[i][key] = value
@@ -227,6 +277,11 @@ SPEC_REFUSALS = [
      CONDUCTOR),
     ("rep.blocks[1].conductor", {"p": 3}, _with_block(1, "conductor", -1),
      CONDUCTOR),
+    ("rep.blocks[1].conductor", {"p": 3}, _with_block(1, "conductor", 0),
+     BLOCK_2),
+    ("rep.blocks[1].conductor", {"p": 3},
+     {"type": "induced", "blocks": [{"n": 1, "conductor": 0},
+                                    {"n": 3, "conductor": 1}]}, BLOCK_3),
     ("rep.c1", {"p": 3}, _with("principal-series", "c1", -1), CONDUCTOR),
     ("rep.c2", {"p": 3}, _with("principal-series", "c2", -1), CONDUCTOR),
     ("rep.c_chi", {"p": 3}, _with("steinberg-twist", "c_chi", -1), CONDUCTOR),
@@ -259,6 +314,33 @@ def test_spec_fields_are_refused_by_the_one_check(capsys, path, field, rep,
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
+# (rep object with two faults, the refusal): within one JSON object every
+# type is read before a constructor checks any domain, and blocks are read
+# and built one at a time, in index order.
+FIRST_FAULTS = [
+    ({"type": "supercuspidal", "minimal_conductor": 1, "twist_conductor": "x"},
+     'rep.twist_conductor: expected an integer, got "x"'),
+    ({"type": "principal-series", "c1": -1, "c2": "x"},
+     'rep.c2: expected an integer, got "x"'),
+    ({"type": "induced", "blocks": [{"n": 0, "conductor": "x"}]},
+     'rep.blocks[0].conductor: expected an integer, got "x"'),
+    ({"type": "induced", "blocks": [{"n": 2, "conductor": 0},
+                                    {"n": "x", "conductor": 1}]},
+     f"rep.blocks[0].conductor: {BLOCK_2}"),
+    ({"type": "induced", "blocks": [{"n": 1, "conductor": 0},
+                                    {"n": 3, "conductor": 1},
+                                    {"n": 1, "conductor": -1}]},
+     f"rep.blocks[1].conductor: {BLOCK_3}"),
+]
+
+
+@pytest.mark.parametrize("rep,message", FIRST_FAULTS)
+def test_every_type_is_read_before_any_domain(capsys, rep, message):
+    spec = json.dumps({"field": {"p": 3}, "rep": rep})
+    assert main(["min-level", spec]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_spec_refusals_cover_every_integer_field():
     # The paths of every integer field that spec_to_dict writes back, with
     # block indices as [i], are the paths of the table.
@@ -282,7 +364,8 @@ def test_spec_refusals_cover_every_integer_field():
 # The shared checks, and the words that mark a domain refusal's message.
 SHARED_CHECKS = {
     "finite_ring.check_q", "finite_ring.check_level", "finite_ring.check_size",
-    "finite_ring.check_conductor", "finite_ring.check_partition",
+    "finite_ring.check_conductor", "finite_ring.check_block",
+    "finite_ring.check_partition",
     "finite_ring.check_prime", "gl2_dims._check_supercuspidal",
     "cli._check_degree",
 }

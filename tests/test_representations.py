@@ -3,7 +3,6 @@ import itertools
 import json
 import pickle
 import time
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,12 +10,12 @@ import pytest
 
 from padic_fixvec.cli import SpecError, load_spec
 from padic_fixvec.cosets import parabolic_index_closed, parabolic_index_enumerated
+from padic_fixvec.finite_ring import FieldError
 from padic_fixvec.gl2_dims import SteinbergTwist, Supercuspidal
 from padic_fixvec.global_bounds import GlobalLevel
 from padic_fixvec.representations import (
     ConductorWindow,
     GenericRepresentation,
-    ImplausibleConductorWarning,
     Representation,
     SquareIntegrableBlock,
     conductor_window,
@@ -31,11 +30,9 @@ def rep(*pairs):
 
 
 def one_block_reps():
-    """(n, c, the rep of the one block (n, c)) for n <= 5 and c <= 20. The
-    implausible blocks of size >= 2 and conductor 0 belong to the grid."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ImplausibleConductorWarning)
-        return [(n, c, rep((n, c))) for n in range(1, 6) for c in range(21)]
+    """(n, c, the rep of the one block (n, c)) for n <= 5 and the 21
+    conductors c from n - 1, the least a block of GL_n has."""
+    return [(n, c, rep((n, c))) for n in range(1, 6) for c in range(n - 1, n + 20)]
 
 
 @pytest.mark.parametrize("pairs,expected", [
@@ -227,16 +224,15 @@ def test_depth_criterion_on_the_unramified_principal_series_by_counting():
 
 
 def test_block_validation():
-    with pytest.raises(ValueError):
-        SquareIntegrableBlock(0, 1)
-    with pytest.raises(ValueError):
-        SquareIntegrableBlock(2, -1)
-    with pytest.warns(ImplausibleConductorWarning):
-        SquareIntegrableBlock(2, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SquareIntegrableBlock(1, 0)
-        SquareIntegrableBlock(2, 2)
+    # A block of GL_n has conductor >= n - 1; each refusal names its slot.
+    for n, c, field in ((0, 1, "n"), (2, -1, "conductor"), (2, 0, "conductor"),
+                        (3, 1, "conductor"), (5, 3, "conductor")):
+        with pytest.raises(FieldError) as info:
+            SquareIntegrableBlock(n, c)
+        assert info.value.field == field, (n, c)
+        assert pickle.loads(pickle.dumps(info.value)).field == field
+    for n, c in ((1, 0), (2, 1), (2, 2), (3, 2), (5, 4)):
+        assert SquareIntegrableBlock(n, c).conductor == c
 
 
 def test_generic_representation_shape():
@@ -259,18 +255,16 @@ def test_min_level_matches_brute_force_small():
 
 def test_block_loops_match_their_reductions():
     # n, conductor() and min_level() loop over the blocks. sum() and max()
-    # are the reference, on every block list of total size <= 4 whose
-    # conductors are <= 5.
+    # are the reference, on every block list of total size <= 4 whose block
+    # conductors are the six from n - 1.
     sizes = [ns for k in range(1, 5)
              for ns in itertools.product(range(1, 5), repeat=k) if sum(ns) <= 4]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ImplausibleConductorWarning)
-        for ns in sizes:
-            for cs in itertools.product(range(0, 6), repeat=len(ns)):
-                pi = rep(*zip(ns, cs))
-                assert pi.n == sum(ns)
-                assert pi.conductor() == sum(cs)
-                assert pi.min_level() == max(-(-c // n) for n, c in zip(ns, cs))
+    for ns in sizes:
+        for cs in itertools.product(*[range(n - 1, n + 5) for n in ns]):
+            pi = rep(*zip(ns, cs))
+            assert pi.n == sum(ns)
+            assert pi.conductor() == sum(cs)
+            assert pi.min_level() == max(-(-c // n) for n, c in zip(ns, cs))
 
 
 def _golden_reps():
