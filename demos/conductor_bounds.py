@@ -7,7 +7,6 @@ from padic_fixvec import (
     GenericRepresentation,
     GlobalLevel,
     conductor_window,
-    depth_esi,
     has_fixed_vector,
     local_conductor_window,
 )
@@ -27,7 +26,7 @@ def main() -> None:
     print("blocks (n_i, c_i)        conductor  min level  block depths")
     for pairs in examples:
         rep = GenericRepresentation.from_pairs(pairs)
-        depths = ", ".join(str(depth_esi(n, c)) for n, c in pairs)
+        depths = ", ".join(str(b.depth()) for b in rep.blocks)
         print(
             f"{str(pairs):<24} {rep.conductor():>9}  {rep.min_level():>9}"
             f"  {depths}"

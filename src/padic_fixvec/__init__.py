@@ -27,7 +27,6 @@ from .representations import (
     Representation,
     SquareIntegrableBlock,
     conductor_window,
-    depth_esi,
     has_fixed_vector,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "SteinbergTwist",
     "Supercuspidal",
     "conductor_window",
-    "depth_esi",
     "dim_supercuspidal_lattice",
     "dim_supercuspidal_minimal",
     "enumerate_gl",

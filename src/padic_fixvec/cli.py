@@ -11,11 +11,13 @@ The five spec queries (dim, has-fixed, min-level, conductor, depth) are one
 command driven by the QUERIES table: each entry asks the representation's
 own methods and returns ordered (key, value) rows, from which both outputs
 are built. SPECS maps each spec type to how its "rep" object is read and
-written, for parse_spec and spec_to_dict alike, and to the labels printed
-with its answers. A principal-series spec is read as two induced GL_1
-blocks and keeps its own name and labels. Every representation subclasses
-representations.Representation, so no query asks its type: even the size
-guard reads the dimension's lower bound q**rep.dim_exponent(m) from it.
+to the labels printed with its answers. parse_spec keeps the integers it
+read, defaults filled in, and spec_to_dict writes them back, so no spec is
+read back out of a representation. A principal-series spec is read as two
+induced GL_1 blocks and keeps its own name and labels. Every representation
+subclasses representations.Representation, so no query asks its type: even
+the size guard reads the dimension's lower bound q**rep.dim_exponent(m)
+from it.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 
@@ -58,13 +60,15 @@ class SpecError(ValueError):
 
 
 class ParsedSpec(NamedTuple):
-    """A checked spec: a prime p, a residue degree f >= 1, a representation
-    and the spec type it was read as, a key of SPECS."""
+    """A checked spec: a prime p, a residue degree f >= 1, a representation,
+    the spec type it was read as, a key of SPECS, and the other keys of its
+    "rep" object as read, defaults filled in."""
 
     p: int
     f: int
     rep: Representation
     type: str
+    fields: dict
 
 
 def _as_object(value, path: str) -> dict:
@@ -103,63 +107,59 @@ def _reject_extra_keys(obj: dict, allowed: set[str], path: str) -> None:
 
 
 def _built(obj: dict, path: str, build, fields, allowed=()):
-    """build(*the integers of obj at path), all read before build checks any:
-    fields holds (JSON key, build's slot, default) for each, in order, and a
-    default of None makes the key required. A refused slot names its key."""
+    """(build(*the integers of obj at path), {JSON key: integer}), all read
+    before build checks any: fields holds (JSON key, build's slot, default)
+    for each, in order, and a default of None makes the key required. A
+    refused slot names its key."""
     keys = {slot: key for key, slot, _ in fields}
     _reject_extra_keys(obj, {*allowed, *keys.values()}, path)
-    values = [_get_int(obj, key, path, default=default) for key, _, default in fields]
+    read = {key: _get_int(obj, key, path, default=default)
+            for key, _, default in fields}
     try:
-        return build(*values)
+        return build(*read.values()), read
     except FieldError as exc:
         raise SpecError(f"{path}.{keys[exc.field]}: {exc}") from None
 
 
-def _parse_induced(rep_obj: dict) -> GenericRepresentation:
+def _parse_induced(rep_obj: dict) -> tuple[GenericRepresentation, dict]:
     _reject_extra_keys(rep_obj, {"type", "blocks"}, "rep")
     blocks = rep_obj.get("blocks")
     if not isinstance(blocks, list) or not blocks:
         raise SpecError("rep.blocks: expected a nonempty array")
     fields = [("n", "n", None), ("conductor", "conductor", None)]
     paths = [f"rep.blocks[{i}]" for i in range(len(blocks))]
-    return GenericRepresentation([  # a list: each block is built once read
+    built, read = zip(*[  # a list: each block is built once read
         _built(_as_object(block, path), path, SquareIntegrableBlock, fields)
         for block, path in zip(blocks, paths)])
+    return GenericRepresentation(built), {"blocks": list(read)}
 
 
 class SpecType(NamedTuple):
-    parse: Callable  # the "rep" object -> the representation
-    dump: Callable  # the representation -> its keys besides "type"
+    parse: Callable  # the "rep" object -> (the representation, its keys as read)
     branch: str  # names the formula behind dim
     convention: str | None  # names the conductor's rule; None if it refuses
 
 
-def _int_fields(build, values, *fields) -> tuple[Callable, Callable]:
-    """parse and dump for build's integer fields (see _built), given back by values."""
-    keys = [key for key, _, _ in fields]
-    return (lambda rep_obj: _built(rep_obj, "rep", build, fields, {"type"}),
-            lambda rep: dict(zip(keys, values(rep))))
+def _int_fields(build, *fields) -> Callable:
+    """parse for build's integer fields (see _built)."""
+    return lambda rep_obj: _built(rep_obj, "rep", build, fields, {"type"})
 
 
 SPECS = {
-    "induced": SpecType(_parse_induced, lambda rep: {"blocks": [
-        {"n": b.n, "conductor": b.conductor} for b in rep.blocks]},
-        "induced from characters: coset index times indicators",
+    "induced": SpecType(
+        _parse_induced, "induced from characters: coset index times indicators",
         "sum of block conductors"),
-    "principal-series": SpecType(*_int_fields(  # each block refused as its key
+    "principal-series": SpecType(_int_fields(  # each block refused as its key
         lambda c1, c2: GenericRepresentation([FieldError.check(
             key, SquareIntegrableBlock, 1, c) for key, c in (("c1", c1), ("c2", c2))]),
-        lambda rep: [b.conductor for b in rep.blocks],
         ("c1", "c1", None), ("c2", "c2", None)),
         "principal series closed form", "sum of the two character conductors"),
-    "steinberg-twist": SpecType(*_int_fields(
-        SteinbergTwist, lambda rep: (rep.c_chi,), ("c_chi", "c_chi", None)),
-        "Steinberg twist closed form", None),
-    "supercuspidal": SpecType(*_int_fields(
-        Supercuspidal, lambda rep: (rep.s, rep.c_chi),
-        ("minimal_conductor", "s", None), ("twist_conductor", "c_chi", 0)),
-        "supercuspidal closed form",
-        "max(minimal_conductor, 2 * twist_conductor)"),
+    "steinberg-twist": SpecType(_int_fields(SteinbergTwist, ("c_chi", "c_chi", None)),
+                                "Steinberg twist closed form", None),
+    "supercuspidal": SpecType(
+        _int_fields(Supercuspidal, ("minimal_conductor", "s", None),
+                    ("twist_conductor", "c_chi", 0)),
+        "supercuspidal closed form", "max(minimal_conductor, 2 * twist_conductor)"),
 }
 
 
@@ -184,7 +184,8 @@ def parse_spec(data) -> ParsedSpec:
     if spec is None:
         raise SpecError(f"rep.type: expected one of {', '.join(SPECS)};"
                         f" got {json.dumps(rep_type)}")
-    return ParsedSpec(p, f, spec.parse(rep_obj), rep_type)
+    rep, fields = spec.parse(rep_obj)
+    return ParsedSpec(p, f, rep, rep_type, fields)
 
 
 def load_spec(argument: str) -> ParsedSpec:
@@ -210,9 +211,10 @@ def load_spec(argument: str) -> ParsedSpec:
 
 
 def spec_to_dict(parsed: ParsedSpec) -> dict:
-    """Canonical JSON form of a parsed spec; reparsing it reproduces parsed."""
+    """Canonical JSON form of a parsed spec, as read with defaults filled in;
+    reparsing it reproduces parsed."""
     return {"field": {"p": parsed.p, "f": parsed.f},
-            "rep": {"type": parsed.type, **SPECS[parsed.type].dump(parsed.rep)}}
+            "rep": {"type": parsed.type, **parsed.fields}}
 
 
 def _print_json(payload) -> int:

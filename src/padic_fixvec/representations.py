@@ -7,7 +7,8 @@ principal congruence subgroups, the depth, the conductor windows and the
 fixed-space dimension of an induced representation all reduce to exact
 integer and rational arithmetic on this data. has_fixed_vector is the one
 statement of the blockwise criterion: a K(m)-fixed vector exists iff
-c <= m*n for every block.
+c <= m*n for every block. A block answers its own depth, max((c - n)/n, 0),
+which an induced representation and each GL_2 type of gl2_dims read.
 
 Every value type of the package is a Value: immutable, with __slots__, and
 equal to another exactly when both have the same type and fields. Each
@@ -20,8 +21,8 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .cosets import parabolic_index_closed
-from .finite_ring import (FieldError, above_blocks, check_block, check_conductor,
-                          check_level, check_q, check_size)
+from .finite_ring import (FieldError, above_blocks, check_block, check_level,
+                          check_q, check_size)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -100,6 +101,12 @@ class SquareIntegrableBlock(Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "conductor", conductor)
 
+    def depth(self) -> "Fraction":
+        """The block's depth: max((c - n)/n, 0), exactly."""
+        from fractions import Fraction
+
+        return max(Fraction(self.conductor - self.n, self.n), Fraction(0))
+
 
 class GenericRepresentation(Representation):
     """Ordered square-integrable blocks of a parabolically induced
@@ -147,7 +154,7 @@ class GenericRepresentation(Representation):
 
     def depth(self) -> "Fraction":
         """The greatest block depth: parabolic induction preserves depth."""
-        return max(depth_esi(b.n, b.conductor) for b in self.blocks)
+        return max(b.depth() for b in self.blocks)
 
     def dim(self, q: int, m: int) -> int:
         """Refuses a block of size >= 2 before any other check."""
@@ -173,16 +180,6 @@ class GenericRepresentation(Representation):
         """m*d with d = sum_{i<j} n_i*n_j: the coset index, a factor of the
         dimension, is at least q**(m*d)."""
         return m * above_blocks(self.partition)
-
-
-def depth_esi(n: int, c: int) -> "Fraction":
-    """Depth of an essentially square integrable representation of GL_n with
-    conductor c: max((c - n)/n, 0), exactly."""
-    from fractions import Fraction
-
-    check_size(n)
-    check_conductor(c)
-    return max(Fraction(c - n, n), Fraction(0))
 
 
 def has_fixed_vector_depth(depth: "Fraction", m: int) -> bool:

@@ -180,7 +180,7 @@ def _kirillov_materialized(q: int, s: int, c_psi: int, r: int) -> str | None:
         (i, index, order)
         for i in range(r + 1)
         for index in range(chars.num_classes_exact(q, i))
-        for order in range(gl2_dims.twisted_conductor_minimal(s, i) + c_psi - r,
+        for order in range(gl2_dims.Supercuspidal(s, i).conductor() + c_psi - r,
                            c_psi + r + 1)
     }
     return _differ(len(functions),
@@ -416,7 +416,7 @@ def _checks(budget: int | None) -> list[tuple]:
              dims(q, supercuspidal(s, c_chi))[m],
              # False at m = 0, which the lattice sum rejects.
              lattice(q, s, m)
-             if gl2_dims.twisted_conductor_minimal(s, c_chi) <= 2 * m
+             if supercuspidal(s, c_chi).conductor() <= 2 * m
              else 0,
          )),
         ("supercuspidal",

@@ -41,14 +41,12 @@ from padic_fixvec.gl2_dims import (
     dim_supercuspidal_minimal,
     kirillov_basis_count,
     kirillov_groups,
-    twisted_conductor_minimal,
 )
 from padic_fixvec.global_bounds import GlobalLevel, local_conductor_window
 from padic_fixvec.representations import (
     GenericRepresentation,
     SquareIntegrableBlock,
     conductor_window,
-    depth_esi,
     has_fixed_vector,
     has_fixed_vector_depth,
 )
@@ -112,10 +110,6 @@ DOMAIN_REFUSALS = [
     ("SteinbergTwist", "c_chi=-1", lambda: SteinbergTwist(-1), CONDUCTOR),
     ("Supercuspidal", "s=1", lambda: Supercuspidal(1), S),
     ("Supercuspidal", "c_chi=-1", lambda: Supercuspidal(2, -1), CONDUCTOR),
-    ("twisted_conductor_minimal", "s=1",
-     lambda: twisted_conductor_minimal(1, 0), S),
-    ("twisted_conductor_minimal", "c_chi=-1",
-     lambda: twisted_conductor_minimal(2, -1), CONDUCTOR),
     ("dim_supercuspidal_minimal", "q=1",
      lambda: dim_supercuspidal_minimal(1, 2, 1), Q),
     ("dim_supercuspidal_minimal", "s=1",
@@ -142,8 +136,6 @@ DOMAIN_REFUSALS = [
      lambda: SquareIntegrableBlock(2, 0), BLOCK_2),
     ("SquareIntegrableBlock", "n=3, conductor=1",
      lambda: SquareIntegrableBlock(3, 1), BLOCK_3),
-    ("depth_esi", "n=0", lambda: depth_esi(0, 0), SIZE),
-    ("depth_esi", "c=-1", lambda: depth_esi(1, -1), CONDUCTOR),
     ("has_fixed_vector_depth", "m=0",
      lambda: has_fixed_vector_depth(Fraction(0), 0), LEVEL_1),
     ("has_fixed_vector", "m=-1", lambda: has_fixed_vector(_induced(), -1),
@@ -165,8 +157,9 @@ DOMAIN_REFUSALS = [
     ("gl_order", "n=0, q=1, m=0", lambda: gl_order(0, 1, 0), SIZE),
     ("parabolic_index_closed", "(), q=1, m=0",
      lambda: parabolic_index_closed((), 1, 0), LEVEL_1),
+    # The constructor checks s before dim checks q.
     ("dim_supercuspidal_minimal", "q=1, s=1, m=-1",
-     lambda: dim_supercuspidal_minimal(1, 1, -1), Q),
+     lambda: dim_supercuspidal_minimal(1, 1, -1), S),
     ("SquareIntegrableBlock", "n=3, conductor=-1",
      lambda: SquareIntegrableBlock(3, -1), CONDUCTOR),
 ]
@@ -231,11 +224,11 @@ def _is_check(code) -> bool:
             and pathlib.Path(code.co_filename).parent == SRC)
 
 
-@pytest.mark.parametrize("spec_type", FIELD_CHECKS)
-def test_each_spec_field_is_checked_once(spec_type):
-    # A profiler sees every call of a check, even through a reference that a
-    # table holds. A check called by another (check_block runs
-    # check_conductor) is part of it, so only outermost calls are counted.
+def _outermost_checks(call) -> list[str]:
+    """The names of the checks that call() runs, in order. A profiler sees
+    every call of a check, even through a reference that a table holds. A
+    check called by another (check_block runs check_conductor) is part of
+    it, so only outermost calls are counted."""
     calls = []
 
     def profile(frame, event, _):
@@ -243,17 +236,63 @@ def test_each_spec_field_is_checked_once(spec_type):
                 and not _is_check(frame.f_back.f_code)):
             calls.append(frame.f_code.co_name)
 
-    spec = json.dumps({"field": {"p": 3}, "rep": VALID_REPS[spec_type]})
     sys.setprofile(profile)
     try:
-        load_spec(spec)
+        call()
     finally:
         sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("spec_type", FIELD_CHECKS)
+def test_each_spec_field_is_checked_once(spec_type):
+    spec = json.dumps({"field": {"p": 3}, "rep": VALID_REPS[spec_type]})
+    calls = _outermost_checks(lambda: load_spec(spec))
     assert calls == ["check_prime", *FIELD_CHECKS[spec_type]]
 
 
+# A rep of each spec type whose dim reaches its closed form at level 4: an
+# induced one of GL_1 blocks only, since dim refuses a larger block unchecked.
+QUERY_REPS = {
+    "induced": GenericRepresentation.from_pairs([(1, 0), (1, 1), (1, 2)]),
+    "principal-series": GenericRepresentation.from_pairs([(1, 0), (1, 1)]),
+    "steinberg-twist": SteinbergTwist(1),
+    "supercuspidal": Supercuspidal(3, 2),
+}
+QUERIES = {
+    "conductor": lambda rep: rep.conductor(),
+    "min_level": lambda rep: rep.min_level(),
+    "depth": lambda rep: rep.depth(),
+    "dim": lambda rep: rep.dim(3, 4),
+}
+# The checks each query runs on a built rep: only those of its own arguments.
+# A GL_2 type's depth builds the one block of its conductor, which checks
+# itself; an induced dim's coset index is a closed form of its own, which
+# checks its arguments too.
+DIM = ["check_q", "check_level"]
+INDUCED = {"conductor": [], "min_level": [], "depth": [],
+           "dim": [*DIM, "check_level", "check_q", "check_partition"]}
+GL2 = {"conductor": [], "min_level": [], "depth": ["check_size", "check_block"],
+       "dim": DIM}
+QUERY_CHECKS = {"induced": INDUCED, "principal-series": INDUCED,
+                "steinberg-twist": GL2, "supercuspidal": GL2}
+
+
+@pytest.mark.parametrize("spec_type,query", [
+    pytest.param(spec_type, query, id=f"{spec_type}.{query}")
+    for spec_type in QUERY_CHECKS for query in QUERIES])
+def test_each_query_checks_only_its_own_arguments(spec_type, query):
+    def ask():
+        try:
+            QUERIES[query](QUERY_REPS[spec_type])
+        except ValueError:  # a Steinberg twist refuses its conductor
+            assert (spec_type, query) == ("steinberg-twist", "conductor")
+
+    assert _outermost_checks(ask) == QUERY_CHECKS[spec_type][query]
+
+
 def test_field_checks_cover_every_spec_type():
-    assert set(FIELD_CHECKS) == set(SPECS)
+    assert set(FIELD_CHECKS) == set(QUERY_CHECKS) == set(QUERY_REPS) == set(SPECS)
 
 
 def _with_block(i, key, value):

@@ -12,7 +12,6 @@ from padic_fixvec.gl2_dims import (
     dim_supercuspidal_minimal,
     kirillov_basis_count,
     kirillov_groups,
-    twisted_conductor_minimal,
 )
 from padic_fixvec.representations import GenericRepresentation
 
@@ -64,12 +63,12 @@ def test_dim_steinberg_twist(q, c_chi, r, expected):
     (2, 3, 6),
 ])
 def test_twisted_conductor_minimal(s, c_chi, expected):
-    assert twisted_conductor_minimal(s, c_chi) == expected
+    assert Supercuspidal(s, c_chi).conductor() == expected
 
 
 def test_twisted_conductor_rejects_small_s():
     with pytest.raises(ValueError):
-        twisted_conductor_minimal(1, 0)
+        Supercuspidal(1, 0).conductor()
 
 
 @pytest.mark.parametrize("q,s,m,expected", [
@@ -141,7 +140,7 @@ def _kirillov_functions(q, s, c_psi, r):
         (i, index, order)
         for i in range(r + 1)
         for index in range(num_classes_exact(q, i))
-        for order in range(twisted_conductor_minimal(s, i) + c_psi - r,
+        for order in range(Supercuspidal(s, i).conductor() + c_psi - r,
                            c_psi + r + 1)
     ]
 

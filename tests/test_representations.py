@@ -19,7 +19,6 @@ from padic_fixvec.representations import (
     Representation,
     SquareIntegrableBlock,
     conductor_window,
-    depth_esi,
     has_fixed_vector,
     has_fixed_vector_depth,
 )
@@ -47,20 +46,22 @@ def test_conductor_is_block_sum(pairs, expected):
 @pytest.mark.parametrize("n,c,expected", [
     (2, 5, Fraction(3, 2)),
     (3, 3, Fraction(0)),
-    (2, 0, Fraction(0)),
+    (2, 1, Fraction(0)),  # the least conductor of a GL_2 block
     (4, 10, Fraction(3, 2)),
 ])
 def test_depth_esi(n, c, expected):
-    value = depth_esi(n, c)
+    # The depth of an essentially square integrable block, its own method.
+    value = SquareIntegrableBlock(n, c).depth()
     assert value == expected
     assert isinstance(value, Fraction)
 
 
 def test_depth_esi_rejects_bad_parameters():
+    # A depth is asked of a built block, which refuses these.
     with pytest.raises(ValueError):
-        depth_esi(0, 1)
+        SquareIntegrableBlock(0, 1)
     with pytest.raises(ValueError):
-        depth_esi(2, -1)
+        SquareIntegrableBlock(2, -1)
 
 
 @pytest.mark.parametrize("n,c,m,expected", [
@@ -113,7 +114,7 @@ def test_criteria_agree_on_a_grid():
     for n, c, pi in one_block_reps():
         for m in range(1, 7):
             assert has_fixed_vector(pi, m) == has_fixed_vector_depth(
-                depth_esi(n, c), m
+                SquareIntegrableBlock(n, c).depth(), m
             ), (n, c, m)
 
 
@@ -165,8 +166,11 @@ def test_depth_supercuspidal_gl2_rejects_small_conductor():
 
 
 def test_gl2_depths_agree():
+    # The general formula max((c - n)/n, 0) at n = 2, c >= 2, as a literal:
+    # Supercuspidal.depth reads the block's, so comparing the two would
+    # compare one method with itself.
     for c in range(2, 21):
-        assert depth_esi(2, c) == Supercuspidal(c).depth()
+        assert Supercuspidal(c).depth() == Fraction(c - 2, 2)
 
 
 @pytest.mark.parametrize("pairs,expected", [
