@@ -38,9 +38,9 @@ class GlobalLevel(Value):
 
     def __init__(self, N: int):
         factorization = factorize(N)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "factorization", factorization)
-        object.__setattr__(self, "radical", prod([p for p, _ in factorization]))
+        _set_N(self, N)
+        _set_factorization(self, factorization)
+        _set_radical(self, prod([p for p, _ in factorization]))
 
     def conductor_bounds(self, n: int) -> ConductorWindow:
         """Conductor range for a group size n at this minimal level:
@@ -49,6 +49,13 @@ class GlobalLevel(Value):
         N, rad = self.N, self.radical
         lo = N // rad
         return ConductorWindow(lo if lo > rad else rad, N**n)
+
+
+# The slots' own setters, as ConductorWindow's; a verify pass builds 10,001
+# levels.
+_set_N, _set_factorization, _set_radical = (
+    GlobalLevel.N.__set__, GlobalLevel.factorization.__set__,
+    GlobalLevel.radical.__set__)
 
 
 def factorize(N: int) -> tuple[tuple[int, int], ...]:

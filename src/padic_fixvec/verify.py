@@ -22,21 +22,32 @@ Four suites, each pure and deterministic:
 Every check is one row (suite, name, cases, test) of the table that
 _checks(budget) builds, in report order. A test takes the arguments of one
 case and returns a failure detail, or a false value when its identity
-holds. A suite's runner gives SuiteReport.check, the only writer of checks
-and notes, each distinct cases object once, so rows that hold the same
-stream share one pass over it; the checks are then reported in table
-order. Rows that read the same values share a memo made per _checks call,
-so a pass computes each GL_2 dimension once. Building the table runs no
-case: a stream that needs the package's objects is a generator. Cases
-that exceed the enumeration budget are recorded as notes, not failures. A
-check that runs no instance at all fails, so no suite passes vacuously.
-The acceptance tests in tests/test_acceptance.py read these checks by name.
+holds. A pass is one distinct cases object of a suite with the tests of
+the rows that hold it, run by SuiteReport.check, the only writer of checks
+and notes; the checks are then reported in table order. Rows that read
+the same values share a memo made per _checks call, so a pass computes
+each GL_2 dimension once. Building the table runs no case: a stream that
+needs the package's objects is a generator. Cases that exceed the
+enumeration budget are recorded as notes, not failures. A check that runs
+no instance at all fails, so no suite passes vacuously. The acceptance
+tests in tests/test_acceptance.py read these checks by name.
+
+run_all may fork one helper, which claims passes, numbered in table
+order, from the back while the runners claim theirs from the front. A
+claim moves the two ends under one record lock, so each pass runs in one
+process; the helper sends each pass's checks and notes, or the exception
+it raised, to the runner that owns the pass.
 """
 
 import functools
 import itertools
 import math
+import os
+import pickle
 import random
+import signal
+import struct
+import threading
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -473,20 +484,119 @@ def _checks(budget: int | None) -> list[tuple]:
     ]
 
 
+def _passes(budget: int | None) -> tuple[list[str], list[tuple]]:
+    """The table's check names in report order, and its passes: one (suite,
+    cases, {name: test}) per distinct cases object of a suite, numbered in
+    table order."""
+    table = _checks(budget)
+    passes: dict[tuple, tuple] = {}  # (suite, id(cases)) -> pass
+    for suite, name, cases, test in table:
+        tests = passes.setdefault((suite, id(cases)), (suite, cases, {}))[2]
+        tests[name] = test
+    return [row[1] for row in table], list(passes.values())
+
+
+class _Helper:
+    """A forked process that runs the passes of _passes(budget) from the
+    back while run_all's runners take them from the front. It sends each
+    through a pipe, as a length-prefixed pickle of (index, (checks, notes))
+    or of (index, the exception the pass raised)."""
+
+    def __init__(self, budget: int | None):
+        passes = _passes(budget)[1]
+        self.fd = os.memfd_create("verify-ends")  # [front, back): unclaimed
+        os.pwrite(self.fd, struct.pack("2i", 0, len(passes)), 0)
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:  # the only way out: no stdio flush, no finally, no atexit
+                os.close(read)
+                self._serve(passes, os.fdopen(write, "wb"))
+            finally:
+                os._exit(0)
+        os.close(write)
+        self.pipe, self.sent = os.fdopen(read, "rb"), {}
+
+    def _claim(self, index: int | None) -> int | None:
+        """Claim pass index for the parent, or given None the last unclaimed
+        pass for the helper; None if the other process holds it. The ends
+        move only under the file's lock, which the kernel drops if its
+        holder dies."""
+        os.lockf(self.fd, os.F_LOCK, 0)
+        try:
+            front, back = struct.unpack("2i", os.pread(self.fd, 8, 0))
+            if index is None and front < back:
+                index = back = back - 1
+            elif index is not None and index < back:
+                front = max(front, index + 1)
+            else:
+                return None
+            os.pwrite(self.fd, struct.pack("2i", front, back), 0)
+            return index
+        finally:
+            os.lockf(self.fd, os.F_ULOCK, 0)
+
+    def _serve(self, passes: list[tuple], pipe) -> None:
+        while (index := self._claim(None)) is not None:
+            suite, cases, tests = passes[index]
+            report = SuiteReport(suite)
+            try:
+                report.check(cases, tests)
+                found = report.checks, report.notes
+            except Exception as exc:  # take raises it in the parent
+                found = exc
+            data = pickle.dumps((index, found))
+            pickle.loads(data)  # one it cannot rebuild is left to the parent
+            pipe.write(len(data).to_bytes(8, "big") + data)
+            pipe.flush()
+
+    def take(self, index: int) -> tuple | None:
+        """None when the parent claims pass index, or when the helper left
+        without sending it; else the helper's (checks, notes) of it."""
+        if self._claim(index) is not None:
+            return None
+        while index not in self.sent:
+            size = int.from_bytes(self.pipe.read(8), "big")
+            data = self.pipe.read(size)
+            if not size or len(data) < size:  # the helper is gone
+                return None
+            sent, found = pickle.loads(data)
+            self.sent[sent] = found
+        found = self.sent.pop(index)
+        if isinstance(found, Exception):
+            raise found
+        return found
+
+    def close(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pipe.close()
+        os.close(self.fd)
+
+
+# .helper: the _Helper of the run_all call that this thread is in, if any.
+# The SUITES entries take only a budget, so this is how they find it.
+_local = threading.local()
+
+
 def _runner(suite: str) -> Callable[..., SuiteReport]:
-    """The SUITES entry of one suite: it runs the suite's rows of the table,
-    one SuiteReport.check per distinct cases object, and reports the checks
-    in table order."""
+    """The SUITES entry of one suite: it runs the suite's passes, each with
+    one SuiteReport.check unless run_all's helper claimed it, and reports
+    the checks in table order."""
 
     def run(budget: int | None = None) -> SuiteReport:
-        rows = [row[1:] for row in _checks(budget) if row[0] == suite]
-        passes: dict[int, tuple] = {}  # id(cases) -> (cases, {name: test})
-        for name, cases, test in rows:
-            passes.setdefault(id(cases), (cases, {}))[1][name] = test
+        names, passes = _passes(budget)
+        helper = getattr(_local, "helper", None)
         report = SuiteReport(suite)
-        for cases, tests in passes.values():
-            report.check(cases, tests)
-        names = [name for name, _, _ in rows]
+        for index, (owner, cases, tests) in enumerate(passes):
+            if owner != suite:
+                continue
+            found = helper.take(index) if helper else None
+            if found is None:
+                report.check(cases, tests)
+            else:
+                report.checks += found[0]
+                report.notes += found[1]
         report.checks.sort(key=lambda check: names.index(check.name))
         return report
 
@@ -498,5 +608,19 @@ SUITES = {suite: _runner(suite)
 
 
 def run_all(budget: int | None = None) -> list[SuiteReport]:
-    """Run every suite in declaration order."""
-    return [runner(budget) for runner in SUITES.values()]
+    """Run every suite in declaration order. When this process may use two
+    CPUs, can fork (every system with memfd_create can) and runs no other
+    thread, a _Helper runs passes meanwhile; it is killed and reaped
+    before this returns or raises."""
+    helper = None
+    if (hasattr(os, "memfd_create") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1):
+        helper = _Helper(budget)
+    _local.helper = helper
+    try:
+        return [runner(budget) for runner in SUITES.values()]
+    finally:
+        _local.helper = None
+        if helper is not None:
+            helper.close()

@@ -1,6 +1,9 @@
+import functools
 import itertools
 import math
+import os
 import pathlib
+import select
 from collections import Counter
 
 import pytest
@@ -364,31 +367,41 @@ def test_verify_json_at_the_default_budget_is_golden(capsys):
     assert capsys.readouterr().out.encode() == VERIFY_DEFAULT.read_bytes()
 
 
-def _count_calls(monkeypatch, owner, name: str, calls: Counter) -> None:
+def _count_calls(monkeypatch, owner, name: str, log: int, tag: bytes) -> None:
     """Rebind owner.name, as bench/spans.py rebinds what it traces, to a
-    wrapper that counts each call in calls[name]."""
+    wrapper that appends the byte tag to the file log per call. The file is
+    opened with O_APPEND, so the calls that run_all's helper process makes
+    count too."""
     real = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls[name] += 1
+        os.write(log, tag)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_run_all_makes_each_subject_call_it_checks(monkeypatch):
+def test_run_all_makes_each_subject_call_it_checks(monkeypatch, tmp_path):
     # A faster pass must still call every subject once per case: these are
-    # the calls of one default-budget run_all, counted through the same
-    # module and class attributes that bench/spans.py rebinds.
-    calls: Counter = Counter()
-    for owner, name in [(global_bounds, "factorize"),
-                        (global_bounds.GlobalLevel, "conductor_bounds"),
-                        (representations, "has_fixed_vector"),
-                        (representations, "conductor_window")]:
-        _count_calls(monkeypatch, owner, name, calls)
-    assert all(r.passed for r in run_all())
-    assert calls == {"factorize": 10_001, "conductor_bounds": 40_001,
-                     "has_fixed_vector": 79_334, "conductor_window": 10_035}
+    # the calls of one default-budget run_all, in whichever process makes
+    # them, counted through the same module and class attributes that
+    # bench/spans.py rebinds.
+    subjects = [(global_bounds, "factorize", b"f"),
+                (global_bounds.GlobalLevel, "conductor_bounds", b"b"),
+                (representations, "has_fixed_vector", b"h"),
+                (representations, "conductor_window", b"w")]
+    path = tmp_path / "calls"
+    log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        for owner, name, tag in subjects:
+            _count_calls(monkeypatch, owner, name, log, tag)
+        assert all(r.passed for r in run_all())
+    finally:
+        os.close(log)
+    counts = Counter(path.read_bytes())
+    assert {name: counts[tag[0]] for _, name, tag in subjects} == {
+        "factorize": 10_001, "conductor_bounds": 40_001,
+        "has_fixed_vector": 79_334, "conductor_window": 10_035}
 
 
 SHARED_DIMENSION_ROWS = (
@@ -439,6 +452,61 @@ def test_suites_run_alone_match_run_all(budget):
     alone = [SUITES[name](budget) for name in reversed(SUITES)]
     assert _reports(reversed(alone)) == together
     assert _reports(run_all(budget)) == together
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("run_all forked")
+
+
+@pytest.mark.parametrize("budget", [None, 1000])
+def test_one_cpu_runs_every_pass_in_process(monkeypatch, budget):
+    # With two CPUs a helper runs passes from the back of the table; with
+    # one, run_all forks nothing. Both give the same reports.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forked = _reports(run_all(budget))
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert _reports(run_all(budget)) == forked
+
+
+@pytest.mark.parametrize("error, by_helper", [
+    (RuntimeError, True),
+    # Its one argument is not its message, so pickle cannot rebuild it: the
+    # helper sends nothing, and the parent runs the pass itself and raises.
+    (functools.partial(BudgetExceededError, 2, 1), False),
+])
+def test_an_error_in_the_helper_reaches_the_caller(monkeypatch, error,
+                                                   by_helper):
+    # Two passes: the parent's front one waits until the helper has started
+    # the back one, whose stream raises, naming the process it runs in.
+    started, start = os.pipe()
+
+    def back():
+        os.write(start, b".")
+        raise error(f"<{os.getpid()}>")
+        yield
+
+    monkeypatch.setattr(verify, "_checks", lambda budget: [
+        ("cosets", "front", [(started,)],
+         lambda fd: not select.select([fd], [], [], 10)[0]),
+        ("windows", "back", back(), None),
+    ])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    try:
+        with pytest.raises(Exception) as raised:
+            run_all()
+    finally:
+        os.close(started)
+        os.close(start)
+    assert type(raised.value) is type(error(""))
+    assert (f"<{os.getpid()}>" not in str(raised.value)) is by_helper
+    _assert_no_child_left()
 
 
 def _failed_details(report) -> dict:
